@@ -1,27 +1,14 @@
 //===- bench/bench_overhead.cpp - Profiling overhead (Sec. 5) -------------===//
 ///
 /// \file
-/// Quantifies two cost stories on the same running example:
-///
-/// 1. The paper's Section 5 observation that algorithmic profiling is
-///    orders of magnitude slower than plain execution, and that the
-///    snapshot strategy dominates that cost: plain VM vs the
-///    traditional CCT profiler vs AlgoProf under Tracked / Eager /
-///    AllElements sizing.
-/// 2. The VM's raw-speed ablation ladder (docs/interpreter.md): the
-///    portable switch loop vs direct-threaded dispatch vs
-///    superinstruction fusion vs inline caches, measured both on the
-///    plain VM (where raw dispatch dominates) and under AlgoProf
-///    Tracked profiling (where listener work dilutes it).
-///
-/// Every configuration's instruction count and (for profiled runs) the
-/// profile fingerprint must match the reference tier — a divergence
-/// fails the benchmark, so the numbers can never come from a VM that
-/// computed something different. Results go to stdout as tables and to
-/// bench_overhead.json with a provenance header (compiler, dispatch
-/// availability, obs build flag, fusion statistics) so committed
-/// numbers are interpretable later; docs/benchmarks.md explains how to
-/// read them.
+/// The paper's Section 5 observation that algorithmic profiling is
+/// orders of magnitude slower than plain execution, and that the
+/// snapshot strategy dominates that cost: plain VM vs the traditional
+/// CCT profiler vs AlgoProf under Tracked / Eager / AllElements sizing,
+/// all on the same running example. Results go to stdout as a table and
+/// to bench_overhead.json with a provenance header (compiler, obs build
+/// flag, instructions per run) so committed numbers are interpretable
+/// later; docs/benchmarks.md explains how to read them.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -61,55 +48,14 @@ template <typename Fn> double bestMsPerRun(int Reps, int Iters, Fn Body) {
 }
 
 struct Row {
-  std::string Group; ///< "listener" or "dispatch-plain" or "dispatch-prof".
   std::string Name;
   double Ms = 0;
-  uint64_t Instr = 0;   ///< Per-run executed instructions (constituent).
-  double Baseline = 0;  ///< The row this group normalizes against.
 };
 
 std::string fmt(double V, const char *Spec = "%.3f") {
   char Buf[64];
   std::snprintf(Buf, sizeof(Buf), Spec, V);
   return Buf;
-}
-
-/// Cheap structural fingerprint of a profile set: labels, class names,
-/// and point counts. Enough to catch any tier-dependent divergence.
-std::string fingerprint(const std::vector<AlgorithmProfile> &Profiles) {
-  std::string F;
-  for (const AlgorithmProfile &AP : Profiles) {
-    F += AP.Label + ";";
-    for (const auto &S : AP.Series) {
-      F += S.Kind + "=" + std::to_string(S.Series.size());
-      if (S.Fit.Valid)
-        F += "[" + S.Fit.formula() + "]";
-      F += ";";
-    }
-  }
-  return F;
-}
-
-struct Tier {
-  const char *Name;
-  vm::DispatchMode Dispatch;
-  bool Fused;
-  bool Ic;
-};
-
-const Tier Tiers[] = {
-    {"switch", vm::DispatchMode::Switch, false, false},
-    {"threaded", vm::DispatchMode::Threaded, false, false},
-    {"threaded+fused", vm::DispatchMode::Threaded, true, false},
-    {"threaded+fused+ic", vm::DispatchMode::Threaded, true, true},
-};
-
-vm::RunOptions tierRun(const Tier &T) {
-  vm::RunOptions RO;
-  RO.Dispatch = T.Dispatch;
-  RO.Superinstructions = T.Fused;
-  RO.InlineCaches = T.Ic;
-  return RO;
 }
 
 } // namespace
@@ -126,85 +72,18 @@ int main() {
     return 1;
   }
 
-  std::printf("Profiling overhead and dispatch ablation "
-              "(insertion sort, sizes to 81)\n"
-              "threaded dispatch compiled: %s; fused clusters: %d; "
-              "inline-cache sites: %d\n\n",
-              vm::threadedDispatchCompiled() ? "yes" : "no",
-              CP->Prep.FusedClusters, CP->Prep.NumIcSlots);
+  std::printf("Profiling overhead (insertion sort, sizes to 81)\n\n");
 
   std::vector<Row> Rows;
-
-  // --- Part 1: dispatch ablation, plain VM (no listener). ------------
-  uint64_t RefInstr = 0;
-  for (const Tier &T : Tiers) {
-    vm::RunOptions RO = tierRun(T);
-    uint64_t Instr = 0;
-    double Ms = bestMsPerRun(5, 40, [&] {
-      vm::IoChannels Io;
-      vm::RunResult R = runPlain(*CP, "Main", "main", &Io, RO);
-      if (!R.ok()) {
-        std::fprintf(stderr, "%s: %s\n", T.Name, R.TrapMessage.c_str());
-        std::exit(1);
-      }
-      Instr = R.InstrCount;
-    });
-    if (&T == &Tiers[0])
-      RefInstr = Instr;
-    else if (Instr != RefInstr) {
-      std::fprintf(stderr, "%s: instruction count diverged\n", T.Name);
-      return 1;
-    }
-    Rows.push_back({"dispatch-plain", T.Name, Ms, Instr, 0});
-  }
-  double PlainSwitchMs = Rows[0].Ms;
-  double PlainFastestMs = Rows.back().Ms;
-
-  // --- Part 2: dispatch ablation under AlgoProf Tracked profiling. ---
-  std::string RefFp;
-  for (const Tier &T : Tiers) {
-    SessionOptions SO;
-    SO.Profile.Snapshots = SnapshotMode::Tracked;
-    SO.Run = tierRun(T);
-    uint64_t Instr = 0;
-    std::string Fp;
-    double Ms = bestMsPerRun(3, 6, [&] {
-      ProfileSession S(*CP, SO);
-      vm::RunResult R = S.run("Main", "main");
-      if (!R.ok()) {
-        std::fprintf(stderr, "%s: %s\n", T.Name, R.TrapMessage.c_str());
-        std::exit(1);
-      }
-      Instr = R.InstrCount;
-      Fp = fingerprint(S.buildProfiles());
-    });
-    if (&T == &Tiers[0])
-      RefFp = Fp;
-    else if (Fp != RefFp) {
-      std::fprintf(stderr, "%s: profile fingerprint diverged\n", T.Name);
-      return 1;
-    }
-    if (Instr != RefInstr) {
-      std::fprintf(stderr, "%s: profiled instruction count diverged\n",
-                   T.Name);
-      return 1;
-    }
-    Rows.push_back({"dispatch-prof", std::string(T.Name) + " (tracked)", Ms,
-                    Instr, 0});
-  }
-
-  // --- Part 3: listener ablation on the default (fastest) tier. ------
-  {
-    uint64_t Instr = 0;
-    double Ms = bestMsPerRun(5, 40, [&] {
-      vm::IoChannels Io;
-      vm::RunResult R = runPlain(*CP, "Main", "main", &Io);
-      if (!R.ok())
-        std::exit(1);
-      Instr = R.InstrCount;
-    });
-    Rows.push_back({"listener", "plain vm", Ms, Instr, 0});
-  }
+  uint64_t Instr = 0;
+  double PlainMs = bestMsPerRun(5, 40, [&] {
+    vm::IoChannels Io;
+    vm::RunResult R = runPlain(*CP, "Main", "main", &Io);
+    if (!R.ok())
+      std::exit(1);
+    Instr = R.InstrCount;
+  });
+  Rows.push_back({"plain vm", PlainMs});
   {
     double Ms = bestMsPerRun(3, 10, [&] {
       cct::CctProfiler Profiler(*CP->Mod);
@@ -216,7 +95,7 @@ int main() {
       if (!R.ok())
         std::exit(1);
     });
-    Rows.push_back({"listener", "cct profiler", Ms, RefInstr, 0});
+    Rows.push_back({"cct profiler", Ms});
   }
   struct ProfCfg {
     const char *Name;
@@ -241,58 +120,28 @@ int main() {
       if (!R.ok())
         std::exit(1);
     });
-    Rows.push_back({"listener", C.Name, Ms, RefInstr, 0});
+    Rows.push_back({C.Name, Ms});
   }
-
-  // --- Tables. -------------------------------------------------------
-  report::Table D({"dispatch tier", "ms/run", "speedup vs switch",
-                   "minstr/s"});
-  for (const Row &R : Rows) {
-    if (R.Group != "dispatch-plain")
-      continue;
-    D.addRow({R.Name, fmt(R.Ms), fmt(PlainSwitchMs / R.Ms, "%.2fx"),
-              fmt(static_cast<double>(R.Instr) / R.Ms / 1e3, "%.1f")});
-  }
-  std::printf("%s\n", D.str().c_str());
-
-  report::Table P({"profiled tier", "ms/run", "speedup vs switch"});
-  double ProfSwitchMs = 0;
-  for (const Row &R : Rows) {
-    if (R.Group != "dispatch-prof")
-      continue;
-    if (!ProfSwitchMs)
-      ProfSwitchMs = R.Ms;
-    P.addRow({R.Name, fmt(R.Ms), fmt(ProfSwitchMs / R.Ms, "%.2fx")});
-  }
-  std::printf("%s\n", P.str().c_str());
 
   report::Table L({"configuration", "ms/run", "overhead vs plain"});
-  for (const Row &R : Rows) {
-    if (R.Group != "listener")
-      continue;
-    L.addRow({R.Name, fmt(R.Ms), fmt(R.Ms / PlainFastestMs, "%.1fx")});
-  }
+  for (const Row &R : Rows)
+    L.addRow({R.Name, fmt(R.Ms), fmt(R.Ms / PlainMs, "%.1fx")});
   std::printf("%s\n", L.str().c_str());
 
   // --- JSON (schema documented in docs/benchmarks.md). ---------------
-  std::string Json = "{\n  \"schema\": \"bench_overhead/v2\",\n";
+  std::string Json = "{\n  \"schema\": \"bench_overhead/v3\",\n";
 #if defined(__VERSION__)
   Json += "  \"compiler\": \"" + std::string(__VERSION__) + "\",\n";
 #else
   Json += "  \"compiler\": \"unknown\",\n";
 #endif
-  Json += "  \"threaded_compiled\": ";
-  Json += vm::threadedDispatchCompiled() ? "true" : "false";
-  Json += ",\n  \"obs_enabled\": ";
+  Json += "  \"obs_enabled\": ";
   Json += ALGOPROF_OBS_ENABLED ? "true" : "false";
-  Json += ",\n  \"fused_clusters\": " +
-          std::to_string(CP->Prep.FusedClusters) +
-          ",\n  \"ic_sites\": " + std::to_string(CP->Prep.NumIcSlots) +
-          ",\n  \"instructions_per_run\": " + std::to_string(RefInstr) +
+  Json += ",\n  \"instructions_per_run\": " + std::to_string(Instr) +
           ",\n  \"results\": [\n";
   for (size_t I = 0; I < Rows.size(); ++I) {
     const Row &R = Rows[I];
-    Json += "    {\"group\": \"" + R.Group + "\", \"name\": \"" + R.Name +
+    Json += "    {\"name\": \"" + R.Name +
             "\", \"ms_per_run\": " + fmt(R.Ms, "%.4f") + "}";
     Json += I + 1 < Rows.size() ? ",\n" : "\n";
   }

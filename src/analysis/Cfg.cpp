@@ -49,10 +49,6 @@ Cfg algoprof::analysis::buildCfg(const MethodInfo &Method) {
       Leader[static_cast<size_t>(I.A)] = 1;
       if (Pc + 1 < N)
         Leader[static_cast<size_t>(Pc + 1)] = 1;
-      // Fused branches fall through past their shadow pcs; the real
-      // fall-through successor must head its own block.
-      if (Pc + instrWidth(I.Op) < N)
-        Leader[static_cast<size_t>(Pc + instrWidth(I.Op))] = 1;
     } else if (isTerminator(I.Op) && Pc + 1 < N) {
       Leader[static_cast<size_t>(Pc + 1)] = 1;
     }
@@ -80,21 +76,15 @@ Cfg algoprof::analysis::buildCfg(const MethodInfo &Method) {
       int T = G.blockAt(TargetPc);
       B.Succs.push_back(T);
     };
-    // Fall-through steps by instrWidth so a fused cluster's shadow pcs
-    // are not successors of the head (only fuzz mutants put fused
-    // opcodes in Method.Code; compiled modules fuse after CFG build).
-    int FallPc = (B.End - 1) + instrWidth(Last.Op);
     if (Last.Op == Opcode::Goto) {
       AddEdge(Last.A);
-    } else if (Last.Op == Opcode::IfTrue || Last.Op == Opcode::IfFalse ||
-               Last.Op == Opcode::FusedCmpBr ||
-               Last.Op == Opcode::FusedLoadLoadCmpBr) {
+    } else if (Last.Op == Opcode::IfTrue || Last.Op == Opcode::IfFalse) {
       AddEdge(Last.A);
-      if (FallPc < N)
-        AddEdge(FallPc);
+      if (B.End < N)
+        AddEdge(B.End);
     } else if (!isTerminator(Last.Op)) {
-      if (FallPc < N)
-        AddEdge(FallPc);
+      if (B.End < N)
+        AddEdge(B.End);
     }
   }
   for (const BasicBlock &B : G.Blocks)

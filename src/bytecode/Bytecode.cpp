@@ -91,14 +91,6 @@ const char *bc::opcodeName(Opcode Op) {
     return "hasinput";
   case Opcode::Trap:
     return "trap";
-  case Opcode::FusedCmpBr:
-    return "fused.cmpbr";
-  case Opcode::FusedLoadLoadCmpBr:
-    return "fused.llcmpbr";
-  case Opcode::FusedLoadConstArith:
-    return "fused.ldcarith";
-  case Opcode::FusedIncLocal:
-    return "fused.inclocal";
   }
   return "<bad-op>";
 }

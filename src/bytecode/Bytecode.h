@@ -80,90 +80,13 @@ enum class Opcode : uint8_t {
   HasInput, ///< -> [0/1]
 
   Trap, ///< unconditional runtime error (unreachable-code guard)
-
-  // Superinstructions. The fuser (Fuser.h) rewrites eligible clusters
-  // of the plain opcodes above into these at prepare time; the rewrite
-  // is pc-preserving (interior pcs keep their original instructions as
-  // unreachable shadows) so branch targets, loop analyses, and the
-  // profiler's per-pc event vocabulary are unchanged. Each fused form
-  // executes exactly the constituent semantics, which is possible
-  // because every constituent is trap-free and listener-silent.
-
-  /// [cmp; iftrue/iffalse] — A = target pc, B = fused-cmp encoding
-  /// (encodeFusedCmp). Width 2.
-  FusedCmpBr,
-  /// [load s1; load s2; cmp; iftrue/iffalse] — A = target pc, B =
-  /// fused-cmp encoding, Imm = packSlots(s1, s2). Width 4.
-  FusedLoadLoadCmpBr,
-  /// [load s; iconst c; add/sub/mul] — A = s, B = arithmetic opcode,
-  /// Imm = c. Width 3.
-  FusedLoadConstArith,
-  /// [load s; iconst c; add/sub; store s] — A = s, Imm = signed delta
-  /// (sub is normalized to an add of the wrapped negation). Width 4.
-  FusedIncLocal,
 };
 
-/// Number of opcodes, including superinstructions (jump tables, fuzz).
-constexpr int NumOpcodes = static_cast<int>(Opcode::FusedIncLocal) + 1;
+/// Number of opcodes (fuzz mutation tables).
+constexpr int NumOpcodes = static_cast<int>(Opcode::Trap) + 1;
 
 /// Returns the mnemonic for \p Op.
 const char *opcodeName(Opcode Op);
-
-/// Number of original instructions a fused opcode stands for; 1 for
-/// every plain opcode. The instructions at pcs [pc+1, pc+width) are the
-/// cluster's shadows: still present, only reachable as branch targets.
-inline int instrWidth(Opcode Op) {
-  switch (Op) {
-  case Opcode::FusedCmpBr:
-    return 2;
-  case Opcode::FusedLoadConstArith:
-    return 3;
-  case Opcode::FusedLoadLoadCmpBr:
-  case Opcode::FusedIncLocal:
-    return 4;
-  default:
-    return 1;
-  }
-}
-
-/// Widest fused cluster; the VM's fuel accounting demotes to unfused
-/// code this many instructions before exhaustion so fuel cuts land on
-/// the same instruction in every dispatch tier.
-constexpr int MaxFusedWidth = 4;
-
-/// True for the six integer comparisons (not the reference ones, which
-/// the fuser never touches).
-inline bool isCmpOpcode(Opcode Op) {
-  return Op == Opcode::CmpLt || Op == Opcode::CmpLe || Op == Opcode::CmpGt ||
-         Op == Opcode::CmpGe || Op == Opcode::CmpEq || Op == Opcode::CmpNe;
-}
-
-/// Fused compare+branch B operand: comparison opcode in the high bits,
-/// branch sense (1 = iftrue) in bit 0.
-inline int32_t encodeFusedCmp(Opcode Cmp, bool BranchIfTrue) {
-  return (static_cast<int32_t>(Cmp) << 1) | (BranchIfTrue ? 1 : 0);
-}
-inline Opcode fusedCmpOp(int32_t B) {
-  return static_cast<Opcode>((B >> 1) & 0xff);
-}
-inline bool fusedBranchIfTrue(int32_t B) { return (B & 1) != 0; }
-/// Operand validity for the verifier and disassembler (mutated modules
-/// carry arbitrary operands).
-inline bool isValidFusedCmp(int32_t B) {
-  return B >= 0 && (B >> 1) <= 0xff && isCmpOpcode(fusedCmpOp(B));
-}
-
-/// FusedLoadLoadCmpBr packs both local slots into Imm.
-inline int64_t packSlots(int32_t SlotA, int32_t SlotB) {
-  return (static_cast<int64_t>(SlotA) << 32) |
-         static_cast<int64_t>(static_cast<uint32_t>(SlotB));
-}
-inline int32_t packedSlotA(int64_t Imm) {
-  return static_cast<int32_t>(Imm >> 32);
-}
-inline int32_t packedSlotB(int64_t Imm) {
-  return static_cast<int32_t>(static_cast<uint64_t>(Imm) & 0xffffffffu);
-}
 
 /// One bytecode instruction. A/B are operand indices (field/method/class
 /// ids, branch targets, local slots); Imm carries integer constants.
@@ -176,8 +99,7 @@ struct Instr {
 
 /// True when \p Op can transfer control to Instr::A.
 inline bool isBranch(Opcode Op) {
-  return Op == Opcode::Goto || Op == Opcode::IfTrue || Op == Opcode::IfFalse ||
-         Op == Opcode::FusedCmpBr || Op == Opcode::FusedLoadLoadCmpBr;
+  return Op == Opcode::Goto || Op == Opcode::IfTrue || Op == Opcode::IfFalse;
 }
 
 /// True when \p Op never falls through to pc+1.

@@ -73,30 +73,6 @@ std::string bc::disassemble(const Module &M, const MethodInfo &Method) {
     case Opcode::InvokeVirtual:
       Out += " slot " + std::to_string(I.A);
       break;
-    case Opcode::FusedCmpBr:
-    case Opcode::FusedLoadLoadCmpBr:
-      if (I.Op == Opcode::FusedLoadLoadCmpBr)
-        Out += " $" + std::to_string(packedSlotA(I.Imm)) + " $" +
-               std::to_string(packedSlotB(I.Imm));
-      if (isValidFusedCmp(I.B))
-        Out += std::string(" ") + opcodeName(fusedCmpOp(I.B)) +
-               (fusedBranchIfTrue(I.B) ? " iftrue" : " iffalse");
-      else
-        Out += " " + invalid("fused-cmp", I.B);
-      Out += " @" + std::to_string(I.A);
-      break;
-    case Opcode::FusedLoadConstArith:
-      Out += " $" + std::to_string(I.A);
-      if (I.B >= 0 && I.B <= 0xff)
-        Out += std::string(" ") +
-               opcodeName(static_cast<Opcode>(static_cast<uint8_t>(I.B)));
-      else
-        Out += " " + invalid("arith-op", I.B);
-      Out += " " + std::to_string(I.Imm);
-      break;
-    case Opcode::FusedIncLocal:
-      Out += " $" + std::to_string(I.A) + " " + std::to_string(I.Imm);
-      break;
     default:
       break;
     }

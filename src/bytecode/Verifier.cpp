@@ -4,6 +4,7 @@
 
 #include "obs/Obs.h"
 
+#include <cassert>
 #include <deque>
 
 using namespace algoprof;
@@ -180,41 +181,6 @@ Effect MethodVerifier::effectAt(size_t Pc) {
   case Opcode::HasInput:
     return {0, 1};
 
-  // Superinstructions: the stack effect is the net effect of the
-  // constituent cluster; operands are validated like the constituents'
-  // would be (slot ranges, comparison encoding, arithmetic op).
-  case Opcode::FusedCmpBr:
-    if (!isValidFusedCmp(I.B))
-      error(Pc, "fused.cmpbr with invalid comparison encoding " +
-                    std::to_string(I.B));
-    return {2, 0};
-  case Opcode::FusedLoadLoadCmpBr:
-    if (!isValidFusedCmp(I.B))
-      error(Pc, "fused.llcmpbr with invalid comparison encoding " +
-                    std::to_string(I.B));
-    if (packedSlotA(I.Imm) < 0 || packedSlotA(I.Imm) >= Method.NumLocals ||
-        packedSlotB(I.Imm) < 0 || packedSlotB(I.Imm) >= Method.NumLocals)
-      error(Pc, "fused.llcmpbr local slot out of range (locals=" +
-                    std::to_string(Method.NumLocals) + ")");
-    return {0, 0};
-  case Opcode::FusedLoadConstArith: {
-    if (I.A < 0 || I.A >= Method.NumLocals)
-      error(Pc, "fused.ldcarith local slot " + std::to_string(I.A) +
-                    " out of range (locals=" +
-                    std::to_string(Method.NumLocals) + ")");
-    Opcode Arith = static_cast<Opcode>(static_cast<uint8_t>(I.B));
-    if (I.B < 0 || I.B > 0xff ||
-        (Arith != Opcode::Add && Arith != Opcode::Sub && Arith != Opcode::Mul))
-      error(Pc, "fused.ldcarith with invalid arithmetic op " +
-                    std::to_string(I.B));
-    return {0, 1};
-  }
-  case Opcode::FusedIncLocal:
-    if (I.A < 0 || I.A >= Method.NumLocals)
-      error(Pc, "fused.inclocal local slot " + std::to_string(I.A) +
-                    " out of range (locals=" +
-                    std::to_string(Method.NumLocals) + ")");
-    return {0, 0};
   }
   error(Pc, "unknown opcode");
   return {0, 0};
@@ -261,13 +227,9 @@ std::vector<std::string> MethodVerifier::run() {
     int After = Depth - E.Pops + E.Pushes;
 
     auto Flow = [&](size_t Succ) {
-      if (Succ >= N) {
-        // Unreachable for width-1 code (the terminator check already
-        // returned), but a fused cluster near the end can fall through
-        // past the method — the VM would read out of bounds.
-        error(Pc, "falls through past end of method");
-        return;
-      }
+      // Branch targets were range-checked above, and the last
+      // instruction is a terminator, so no successor runs off the end.
+      assert(Succ < N && "successor past end of method");
       if (DepthAt[Succ] < 0) {
         DepthAt[Succ] = After;
         Work.push_back(Succ);
@@ -278,19 +240,14 @@ std::vector<std::string> MethodVerifier::run() {
       }
     };
 
-    // Fall-through successors step by instrWidth: a fused cluster's
-    // shadow pcs are not successors of the head (they stay reachable
-    // only as explicit branch targets).
     const Instr &I = Method.Code[Pc];
     if (I.Op == Opcode::Goto) {
       Flow(static_cast<size_t>(I.A));
-    } else if (I.Op == Opcode::IfTrue || I.Op == Opcode::IfFalse ||
-               I.Op == Opcode::FusedCmpBr ||
-               I.Op == Opcode::FusedLoadLoadCmpBr) {
+    } else if (I.Op == Opcode::IfTrue || I.Op == Opcode::IfFalse) {
       Flow(static_cast<size_t>(I.A));
-      Flow(Pc + static_cast<size_t>(instrWidth(I.Op)));
+      Flow(Pc + 1);
     } else if (!isTerminator(I.Op)) {
-      Flow(Pc + static_cast<size_t>(instrWidth(I.Op)));
+      Flow(Pc + 1);
     }
     // Ret/RetVal/Trap end the path.
   }

@@ -27,8 +27,6 @@ const Opcode AllOpcodes[] = {
     Opcode::InvokeStatic, Opcode::InvokeVirtual, Opcode::InvokeCtor,
     Opcode::Ret,       Opcode::RetVal,       Opcode::Print,
     Opcode::ReadInt,   Opcode::HasInput,     Opcode::Trap,
-    Opcode::FusedCmpBr, Opcode::FusedLoadLoadCmpBr,
-    Opcode::FusedLoadConstArith, Opcode::FusedIncLocal,
 };
 constexpr size_t NumMutationOpcodes = sizeof(AllOpcodes) / sizeof(AllOpcodes[0]);
 static_assert(NumMutationOpcodes == static_cast<size_t>(bc::NumOpcodes),

@@ -103,7 +103,9 @@ public:
 private:
   bool appendRecord(const std::string &Rec);
 
-  int Fd = -1;
+  /// Atomic because isOpen() reads it without Mu while compact()
+  /// swaps in the rotated file's descriptor.
+  std::atomic<int> Fd{-1};
   std::string Path;          ///< Set by open(); compact() needs it.
   std::atomic<uint64_t> Size{0};
   std::atomic<bool> Failed{false};

@@ -3,7 +3,6 @@
 #include "vm/Interpreter.h"
 
 #include "analysis/Dominators.h"
-#include "bytecode/Fuser.h"
 #include "obs/Obs.h"
 
 #include <cassert>
@@ -14,17 +13,6 @@
 using namespace algoprof;
 using namespace algoprof::vm;
 using namespace algoprof::bc;
-
-// Direct-threaded dispatch needs the GNU computed-goto extension; the
-// CMake option only opts the build in, the compiler check keeps the
-// portable switch loop on everything else.
-#if defined(ALGOPROF_THREADED_DISPATCH_ENABLED) && \
-    ALGOPROF_THREADED_DISPATCH_ENABLED && \
-    (defined(__GNUC__) || defined(__clang__))
-#define ALGOPROF_HAS_COMPUTED_GOTO 1
-#else
-#define ALGOPROF_HAS_COMPUTED_GOTO 0
-#endif
 
 ExecutionListener::~ExecutionListener() = default;
 
@@ -42,19 +30,7 @@ const char *vm::runStatusName(RunStatus S) {
   return "?";
 }
 
-const char *vm::dispatchModeName(DispatchMode M) {
-  switch (M) {
-  case DispatchMode::Auto:
-    return "auto";
-  case DispatchMode::Switch:
-    return "switch";
-  case DispatchMode::Threaded:
-    return "threaded";
-  }
-  return "?";
-}
-
-bool vm::threadedDispatchCompiled() { return ALGOPROF_HAS_COMPUTED_GOTO; }
+bool vm::threadedDispatchCompiled() { return false; }
 
 //===----------------------------------------------------------------------===//
 // InstrumentationPlan factories
@@ -112,20 +88,6 @@ PreparedProgram PreparedProgram::prepare(const Module &M) {
     analysis::DominatorTree DT = analysis::computeDominators(PM.Graph);
     PM.Loops = analysis::computeLoops(M.Methods[I], PM.Graph, DT);
     PM.Events = buildLoopEventMap(M.Methods[I], PM.Graph, PM.Loops);
-    // Superinstruction selection runs after loop recovery so every
-    // loop-event target stays a real instruction boundary: a pc that
-    // can fire a transition must never be swallowed into a cluster
-    // interior, or the fused run would skip its events.
-    bc::FusionStats FS;
-    PM.FusedCode = bc::fuseMethod(M.Methods[I], PM.Events.InterestingTarget,
-                                  &FS);
-    P.FusedClusters += FS.Clusters;
-    // One inline-cache slot per InvokeVirtual site, numbered globally;
-    // the storage itself lives in each Interpreter.
-    PM.IcSlot.assign(M.Methods[I].Code.size(), -1);
-    for (size_t Pc = 0; Pc < M.Methods[I].Code.size(); ++Pc)
-      if (M.Methods[I].Code[Pc].Op == Opcode::InvokeVirtual)
-        PM.IcSlot[Pc] = P.NumIcSlots++;
   }
   P.Calls = analysis::buildCallGraph(M);
   P.RecTypes = analysis::computeRecursiveTypes(M);
@@ -157,8 +119,6 @@ int64_t wrapNeg(int64_t A) {
   return static_cast<int64_t>(0 - static_cast<uint64_t>(A));
 }
 
-/// Shared by the plain comparison handlers and the fused
-/// compare-and-branch forms so both compute bit-identical results.
 bool evalCmp(Opcode Op, int64_t A, int64_t B) {
   switch (Op) {
   case Opcode::CmpLt:
@@ -176,23 +136,10 @@ bool evalCmp(Opcode Op, int64_t A, int64_t B) {
   }
 }
 
-/// Wrapping arithmetic for FusedLoadConstArith (only Add/Sub/Mul are
-/// fusable; Div/Rem can trap and stay unfused).
-int64_t evalArith(Opcode Op, int64_t A, int64_t B) {
-  if (Op == Opcode::Add)
-    return wrapAdd(A, B);
-  if (Op == Opcode::Sub)
-    return wrapSub(A, B);
-  return wrapMul(A, B);
-}
-
 struct Frame {
   const MethodInfo *Method = nullptr;
   const PreparedMethod *Prepared = nullptr;
-  /// The code array this frame executes: Method->Code, or the
-  /// pc-aligned Prepared->FusedCode when superinstructions are on.
-  /// Demotion (see Machine::onStop) swaps it mid-run without touching
-  /// the pc — the arrays index identically.
+  /// Method->Code.data(), cached so the decode loop's fetch is one load.
   const bc::Instr *Code = nullptr;
   int Pc = 0;
   std::vector<Value> Locals;
@@ -213,9 +160,8 @@ class Machine {
 public:
   Machine(const PreparedProgram &P, Heap &H, ExecutionListener *L,
           const InstrumentationPlan &Plan, IoChannels &Io,
-          const RunOptions &Opts, IcEntry *IcData)
-      : P(P), M(*P.M), H(H), L(L), Plan(Plan), Io(Io), Opts(Opts),
-        IcData(IcData) {}
+          const RunOptions &Opts)
+      : P(P), M(*P.M), H(H), L(L), Plan(Plan), Io(Io), Opts(Opts) {}
 
   RunResult run(int32_t EntryMethodId);
 
@@ -291,21 +237,13 @@ private:
   }
 
   /// Cold path behind the loop's single `Executed >= NextStop` compare:
-  /// ends the run on fuel exhaustion or a missed deadline, demotes
-  /// fused execution just before the fuel limit (so a multi-width
-  /// cluster can never straddle it — the cut lands on the same
-  /// instruction as in an unfused run), and schedules the next stop.
-  /// Returns false when the run must end.
+  /// ends the run on fuel exhaustion or a missed deadline and schedules
+  /// the next stop. Returns false when the run must end.
   bool onStop() {
     for (;;) {
       if (Executed >= Opts.Fuel) {
         FuelOut = true;
         return false;
-      }
-      if (UseFused && Executed >= DemoteAt) {
-        UseFused = false;
-        for (Frame &F : Frames)
-          F.Code = F.Method->Code.data();
       }
       if (Executed >= DeadlineCheckAt) {
         if (nowMs() - StartMs >= Opts.RunDeadlineMs) {
@@ -314,19 +252,15 @@ private:
         }
         DeadlineCheckAt += DeadlineStride;
       }
-      uint64_t FuelStop = UseFused ? DemoteAt : Opts.Fuel;
-      NextStop = FuelStop < DeadlineCheckAt ? FuelStop : DeadlineCheckAt;
+      NextStop = Opts.Fuel < DeadlineCheckAt ? Opts.Fuel : DeadlineCheckAt;
       if (Executed < NextStop)
         return true;
     }
   }
 
-  /// The decode loops, expanded from InterpreterLoop.inc. Each executes
-  /// until the run ends (trap, completion, or onStop saying stop).
-  void execSwitch();
-#if ALGOPROF_HAS_COMPUTED_GOTO
-  void execThreaded();
-#endif
+  /// The decode loop: executes until the run ends (trap, completion,
+  /// or onStop saying stop).
+  void exec();
 
   const PreparedProgram &P;
   const Module &M;
@@ -335,20 +269,16 @@ private:
   const InstrumentationPlan &Plan;
   IoChannels &Io;
   RunOptions Opts;
-  IcEntry *IcData; ///< Interpreter-owned cache array (may be null).
 
   std::vector<Frame> Frames;
   uint64_t Executed = 0;
   uint64_t AllocCount = 0; ///< Allocations attempted (1-based ordinal).
 
-  // Dispatch/guard state for the decode loops.
+  // Guard state for the decode loop.
   static constexpr uint64_t DeadlineStride = 8192;
   uint64_t NextStop = 0;        ///< Next Executed value that needs onStop.
-  uint64_t DemoteAt = 0;        ///< Fuel threshold for fused demotion.
   uint64_t DeadlineCheckAt = 0; ///< Next Executed value to read the clock.
   uint64_t StartMs = 0;
-  bool UseFused = false;
-  IcEntry *Ic = nullptr; ///< IcData when inline caches are enabled.
 
   bool Trapped = false;
   bool BudgetTripped = false;
@@ -367,9 +297,7 @@ void Machine::enterMethod(int32_t MethodId, std::vector<Value> Args) {
   Frame F;
   F.Method = &Callee;
   F.Prepared = &P.Methods[static_cast<size_t>(MethodId)];
-  F.Code = UseFused && F.Prepared->FusedCode.size() == Callee.Code.size()
-               ? F.Prepared->FusedCode.data()
-               : Callee.Code.data();
+  F.Code = Callee.Code.data();
   F.Pc = 0;
   F.Locals.assign(static_cast<size_t>(Callee.NumLocals), Value::makeInt(0));
   assert(static_cast<int32_t>(Args.size()) == Callee.NumArgs &&
@@ -416,24 +344,384 @@ void Machine::fireTransition(const Frame &F, int FromPc, int ToPc) {
     L->onLoopEnter(MethodId, Loop);
 }
 
-// Expand the decode loop twice: the portable switch loop always, the
-// direct-threaded loop only when the build carries computed goto. The
-// handler bodies live once, in InterpreterLoop.inc.
 #define VM_TRAP(Msg)                                                          \
   do {                                                                        \
     trap(Msg);                                                                \
     return;                                                                   \
   } while (0)
 
-#define VM_LOOP_THREADED 0
-#include "vm/InterpreterLoop.inc"
-#undef VM_LOOP_THREADED
+// Handler protocol: fall-through and branch handlers set NextPc and
+// `break` to the shared advance, which fires the loop-event transition
+// Pc -> NextPc and moves the pc. Call and return handlers adjust Frames
+// themselves and `continue` (calls fire no transition, returns fire
+// CallPc -> CallPc+1 in the caller). Trap paths record the trap and
+// `return` (VM_TRAP).
+void Machine::exec() {
+  for (;;) {
+    // One compare on the hot path; onStop (cold) sorts out fuel
+    // exhaustion and the deadline.
+    if (Executed >= NextStop && !onStop())
+      return;
+    Frame &F = Frames.back();
+    const Instr &I = F.Code[F.Pc];
+    ++Executed;
+    if (WantsInstr)
+      L->onInstruction(F.Method->Id, F.Pc);
+    int NextPc = F.Pc + 1;
 
-#if ALGOPROF_HAS_COMPUTED_GOTO
-#define VM_LOOP_THREADED 1
-#include "vm/InterpreterLoop.inc"
-#undef VM_LOOP_THREADED
-#endif
+    switch (I.Op) {
+    case Opcode::Nop:
+      break;
+
+    case Opcode::IConst:
+      F.push(Value::makeInt(I.Imm));
+      break;
+
+    case Opcode::NullConst:
+      F.push(Value::makeNull());
+      break;
+
+    case Opcode::Load:
+      F.push(F.Locals[static_cast<size_t>(I.A)]);
+      break;
+
+    case Opcode::Store:
+      F.Locals[static_cast<size_t>(I.A)] = F.pop();
+      break;
+
+    case Opcode::Dup:
+      F.push(F.Stack.back());
+      break;
+
+    case Opcode::Pop:
+      F.pop();
+      break;
+
+    case Opcode::Add:
+    case Opcode::Sub:
+    case Opcode::Mul:
+    case Opcode::Div:
+    case Opcode::Rem: {
+      int64_t B = F.pop().Bits;
+      int64_t A = F.pop().Bits;
+      int64_t R = 0;
+      if (I.Op == Opcode::Add)
+        R = wrapAdd(A, B);
+      else if (I.Op == Opcode::Sub)
+        R = wrapSub(A, B);
+      else if (I.Op == Opcode::Mul)
+        R = wrapMul(A, B);
+      else {
+        if (B == 0)
+          VM_TRAP("division by zero in " + F.Method->QualifiedName);
+        // INT64_MIN / -1 overflows (and SIGFPEs on x86); Java defines
+        // the quotient as INT64_MIN and the remainder as 0.
+        if (A == std::numeric_limits<int64_t>::min() && B == -1)
+          R = I.Op == Opcode::Div ? A : 0;
+        else
+          R = I.Op == Opcode::Div ? A / B : A % B;
+      }
+      F.push(Value::makeInt(R));
+      break;
+    }
+
+    case Opcode::Neg:
+      F.push(Value::makeInt(wrapNeg(F.pop().Bits)));
+      break;
+
+    case Opcode::Not:
+      F.push(Value::makeBool(F.pop().Bits == 0));
+      break;
+
+    case Opcode::CmpLt:
+    case Opcode::CmpLe:
+    case Opcode::CmpGt:
+    case Opcode::CmpGe:
+    case Opcode::CmpEq:
+    case Opcode::CmpNe: {
+      int64_t B = F.pop().Bits;
+      int64_t A = F.pop().Bits;
+      F.push(Value::makeBool(evalCmp(I.Op, A, B)));
+      break;
+    }
+
+    case Opcode::RefEq:
+    case Opcode::RefNe: {
+      Value B = F.pop();
+      Value A = F.pop();
+      bool Eq = A.Bits == B.Bits && A.IsRef == B.IsRef;
+      F.push(Value::makeBool(I.Op == Opcode::RefEq ? Eq : !Eq));
+      break;
+    }
+
+    case Opcode::Goto:
+      NextPc = I.A;
+      break;
+
+    case Opcode::IfTrue:
+      if (F.pop().Bits != 0)
+        NextPc = I.A;
+      break;
+
+    case Opcode::IfFalse:
+      if (F.pop().Bits == 0)
+        NextPc = I.A;
+      break;
+
+    case Opcode::GetField: {
+      Value Obj = F.pop();
+      if (Obj.isNullRef())
+        VM_TRAP("null dereference reading field " +
+                M.Fields[static_cast<size_t>(I.A)].Name + " in " +
+                F.Method->QualifiedName);
+      HeapObject *O = deref(Obj, F);
+      if (!O)
+        return;
+      const FieldInfo &Field = M.Fields[static_cast<size_t>(I.A)];
+      if (Field.Slot < 0 ||
+          Field.Slot >= static_cast<int32_t>(O->Slots.size()))
+        VM_TRAP("field " + Field.Name + " not present on receiver in " +
+                F.Method->QualifiedName);
+      Value V = O->Slots[static_cast<size_t>(Field.Slot)];
+      F.push(V);
+      if (L && Plan.fieldHook(I.A))
+        L->onGetField(Obj.ref(), I.A, V);
+      break;
+    }
+
+    case Opcode::PutField: {
+      Value V = F.pop();
+      Value Obj = F.pop();
+      if (Obj.isNullRef())
+        VM_TRAP("null dereference writing field " +
+                M.Fields[static_cast<size_t>(I.A)].Name + " in " +
+                F.Method->QualifiedName);
+      HeapObject *O = deref(Obj, F);
+      if (!O)
+        return;
+      const FieldInfo &Field = M.Fields[static_cast<size_t>(I.A)];
+      if (Field.Slot < 0 ||
+          Field.Slot >= static_cast<int32_t>(O->Slots.size()))
+        VM_TRAP("field " + Field.Name + " not present on receiver in " +
+                F.Method->QualifiedName);
+      O->Slots[static_cast<size_t>(Field.Slot)] = V;
+      if (L && Plan.fieldHook(I.A))
+        L->onPutField(Obj.ref(), I.A, V);
+      break;
+    }
+
+    case Opcode::ALoad: {
+      Value Idx = F.pop();
+      Value Arr = F.pop();
+      if (Arr.isNullRef())
+        VM_TRAP("null array load in " + F.Method->QualifiedName);
+      HeapObject *A = deref(Arr, F);
+      if (!A)
+        return;
+      if (Idx.Bits < 0 || Idx.Bits >= static_cast<int64_t>(A->Slots.size()))
+        VM_TRAP("array index " + std::to_string(Idx.Bits) +
+                " out of bounds (length " + std::to_string(A->Slots.size()) +
+                ") in " + F.Method->QualifiedName);
+      Value V = A->Slots[static_cast<size_t>(Idx.Bits)];
+      F.push(V);
+      if (L && Plan.ArrayHooks)
+        L->onArrayLoad(Arr.ref(), Idx.Bits, V);
+      break;
+    }
+
+    case Opcode::AStore: {
+      Value V = F.pop();
+      Value Idx = F.pop();
+      Value Arr = F.pop();
+      if (Arr.isNullRef())
+        VM_TRAP("null array store in " + F.Method->QualifiedName);
+      HeapObject *A = deref(Arr, F);
+      if (!A)
+        return;
+      if (Idx.Bits < 0 || Idx.Bits >= static_cast<int64_t>(A->Slots.size()))
+        VM_TRAP("array index " + std::to_string(Idx.Bits) +
+                " out of bounds (length " + std::to_string(A->Slots.size()) +
+                ") in " + F.Method->QualifiedName);
+      A->Slots[static_cast<size_t>(Idx.Bits)] = V;
+      if (L && Plan.ArrayHooks)
+        L->onArrayStore(Arr.ref(), Idx.Bits, V);
+      break;
+    }
+
+    case Opcode::ArrayLen: {
+      Value Arr = F.pop();
+      if (Arr.isNullRef())
+        VM_TRAP("null array length in " + F.Method->QualifiedName);
+      HeapObject *A = deref(Arr, F);
+      if (!A)
+        return;
+      F.push(Value::makeInt(static_cast<int64_t>(A->Slots.size())));
+      break;
+    }
+
+    case Opcode::NewObject: {
+      const ClassInfo &C = M.Classes[static_cast<size_t>(I.A)];
+      if (!chargeAlloc(Heap::bytesFor(C.FieldIds.size()), F))
+        return;
+      ObjId Obj = H.allocObject(I.A);
+      F.push(Value::makeRef(Obj));
+      if (L && Plan.allocHook(I.A))
+        L->onNewObject(Obj, I.A);
+      break;
+    }
+
+    case Opcode::NewArray: {
+      Value Len = F.pop();
+      if (Len.Bits < 0)
+        VM_TRAP("negative array length " + std::to_string(Len.Bits) +
+                " in " + F.Method->QualifiedName);
+      if (Len.Bits > Opts.MaxArrayLength)
+        VM_TRAP("array length " + std::to_string(Len.Bits) +
+                " exceeds limit " + std::to_string(Opts.MaxArrayLength) +
+                " in " + F.Method->QualifiedName);
+      if (!chargeAlloc(Heap::bytesFor(static_cast<uint64_t>(Len.Bits)), F))
+        return;
+      ObjId Arr = H.allocArray(I.A, Len.Bits);
+      F.push(Value::makeRef(Arr));
+      if (L && Plan.ArrayHooks)
+        L->onNewArray(Arr, I.A, Len.Bits);
+      break;
+    }
+
+    case Opcode::NewMulti: {
+      Value Inner = F.pop();
+      Value Outer = F.pop();
+      if (Outer.Bits < 0 || Inner.Bits < 0)
+        VM_TRAP("negative array length in " + F.Method->QualifiedName);
+      if (Outer.Bits > Opts.MaxArrayLength ||
+          Inner.Bits > Opts.MaxArrayLength ||
+          (Inner.Bits > 0 && Outer.Bits > Opts.MaxArrayLength / Inner.Bits))
+        VM_TRAP("multi-array dimensions " + std::to_string(Outer.Bits) + "x" +
+                std::to_string(Inner.Bits) + " exceed limit " +
+                std::to_string(Opts.MaxArrayLength) + " in " +
+                F.Method->QualifiedName);
+      TypeId OuterTy = I.A;
+      TypeId InnerTy = M.Types[static_cast<size_t>(OuterTy)].Elem;
+      if (!chargeAlloc(Heap::bytesFor(static_cast<uint64_t>(Outer.Bits)), F))
+        return;
+      ObjId Arr = H.allocArray(OuterTy, Outer.Bits);
+      if (L && Plan.ArrayHooks)
+        L->onNewArray(Arr, OuterTy, Outer.Bits);
+      for (int64_t Row = 0; Row < Outer.Bits; ++Row) {
+        if (!chargeAlloc(Heap::bytesFor(static_cast<uint64_t>(Inner.Bits)),
+                         F))
+          return;
+        ObjId RowArr = H.allocArray(InnerTy, Inner.Bits);
+        H.get(Arr).Slots[static_cast<size_t>(Row)] = Value::makeRef(RowArr);
+        if (L && Plan.ArrayHooks)
+          L->onNewArray(RowArr, InnerTy, Inner.Bits);
+      }
+      F.push(Value::makeRef(Arr));
+      break;
+    }
+
+    case Opcode::InvokeStatic:
+    case Opcode::InvokeVirtual:
+    case Opcode::InvokeCtor: {
+      int32_t MethodId = I.A;
+      if (I.Op == Opcode::InvokeVirtual) {
+        // Resolve through the receiver's vtable. The receiver sits below
+        // the arguments; the statically resolved target (operand B)
+        // gives the arity, and overrides share it (checked by sema).
+        int32_t Slot = I.A;
+        int32_t Arity = M.Methods[static_cast<size_t>(I.B)].NumArgs;
+        assert(Arity > 0 && "virtual call without a receiver slot");
+        Value Recv = F.Stack[F.Stack.size() - static_cast<size_t>(Arity)];
+        if (Recv.isNullRef())
+          VM_TRAP("null receiver in call from " + F.Method->QualifiedName);
+        HeapObject *O = deref(Recv, F);
+        if (!O)
+          return;
+        int32_t RecvClass = O->ClassId;
+        if (RecvClass < 0 ||
+            RecvClass >= static_cast<int32_t>(M.Classes.size()))
+          VM_TRAP("virtual call on non-object receiver in " +
+                  F.Method->QualifiedName);
+        const ClassInfo &C = M.Classes[static_cast<size_t>(RecvClass)];
+        if (Slot < 0 || Slot >= static_cast<int32_t>(C.Vtable.size()))
+          VM_TRAP("receiver class " + C.Name + " lacks virtual slot " +
+                  std::to_string(Slot) + " in " + F.Method->QualifiedName);
+        MethodId = C.Vtable[static_cast<size_t>(Slot)];
+        if (MethodId < 0 ||
+            MethodId >= static_cast<int32_t>(M.Methods.size()))
+          VM_TRAP("corrupt vtable entry in class " + C.Name);
+        // The verifier models the call's stack effect from the declared
+        // target (operand B); a type-confused receiver may dispatch to a
+        // method of different shape, which must trap rather than
+        // over/under-pop the verified operand stack.
+        const MethodInfo &Target = M.Methods[static_cast<size_t>(MethodId)];
+        const MethodInfo &Declared = M.Methods[static_cast<size_t>(I.B)];
+        if (Target.NumArgs != Declared.NumArgs ||
+            Target.ReturnsValue != Declared.ReturnsValue)
+          VM_TRAP("virtual dispatch signature mismatch calling " +
+                  Target.QualifiedName + " in " + F.Method->QualifiedName);
+      }
+      const MethodInfo &Callee = M.Methods[static_cast<size_t>(MethodId)];
+      if (static_cast<int>(Frames.size()) >= Opts.MaxFrames)
+        VM_TRAP("call stack overflow calling " + Callee.QualifiedName);
+      std::vector<Value> Args(static_cast<size_t>(Callee.NumArgs));
+      for (int32_t A = Callee.NumArgs - 1; A >= 0; --A)
+        Args[static_cast<size_t>(A)] = F.pop();
+      // The caller's pc stays at the call site; the return handler
+      // advances it. enterMethod may reallocate Frames, invalidating F.
+      enterMethod(MethodId, std::move(Args));
+      continue;
+    }
+
+    case Opcode::Ret:
+    case Opcode::RetVal: {
+      bool HaveRV = I.Op == Opcode::RetVal;
+      Value RV;
+      if (HaveRV)
+        RV = F.pop();
+      leaveTopFrame();
+      if (Frames.empty())
+        return; // Normal program completion.
+      Frame &Caller = Frames.back();
+      int CallPc = Caller.Pc;
+      if (HaveRV)
+        Caller.push(RV);
+      Caller.Pc = CallPc + 1;
+      if (L)
+        fireTransition(Caller, CallPc, Caller.Pc);
+      continue;
+    }
+
+    case Opcode::Print: {
+      Value V = F.pop();
+      Io.Output.push_back(V.Bits);
+      if (L && Plan.IoHooks)
+        L->onOutputWrite();
+      break;
+    }
+
+    case Opcode::ReadInt: {
+      if (!Io.hasInput())
+        VM_TRAP("input exhausted in " + F.Method->QualifiedName);
+      F.push(Value::makeInt(Io.Input[Io.InputPos++]));
+      if (L && Plan.IoHooks)
+        L->onInputRead();
+      break;
+    }
+
+    case Opcode::HasInput:
+      F.push(Value::makeBool(Io.hasInput()));
+      break;
+
+    case Opcode::Trap:
+      VM_TRAP("explicit trap in " + F.Method->QualifiedName);
+    }
+
+    if (L)
+      fireTransition(F, F.Pc, NextPc);
+    F.Pc = NextPc;
+  }
+}
 
 #undef VM_TRAP
 
@@ -452,21 +740,10 @@ RunResult Machine::run(int32_t EntryMethodId) {
     L->onProgramStart(Ctx);
   }
 
-  // Execution-tier selection. UseFused must be settled before the first
-  // enterMethod so every frame picks its code array consistently.
-  UseFused = Opts.Superinstructions;
-  Ic = (Opts.InlineCaches && P.NumIcSlots > 0) ? IcData : nullptr;
   enterMethod(EntryMethodId, {});
 
-  // Guard thresholds (all in units of Executed). DemoteAt keeps a fused
-  // cluster from straddling the fuel limit: within MaxFusedWidth-1
-  // instructions of exhaustion the run falls back to unfused code, so
-  // the fuel cut lands on the identical instruction in every tier.
+  // Guard thresholds, in units of Executed.
   constexpr uint64_t Never = std::numeric_limits<uint64_t>::max();
-  DemoteAt = !UseFused ? Never
-             : Opts.Fuel >= static_cast<uint64_t>(MaxFusedWidth)
-                 ? Opts.Fuel - (static_cast<uint64_t>(MaxFusedWidth) - 1)
-                 : 0;
   DeadlineCheckAt = Opts.RunDeadlineMs ? 0 : Never;
   StartMs = Opts.RunDeadlineMs ? nowMs() : 0;
   NextStop = 0; // Force the first iteration through onStop.
@@ -474,14 +751,7 @@ RunResult Machine::run(int32_t EntryMethodId) {
   RunResult R;
   bool BadAlloc = false;
   try {
-#if ALGOPROF_HAS_COMPUTED_GOTO
-    if (Opts.Dispatch == DispatchMode::Switch)
-      execSwitch();
-    else
-      execThreaded();
-#else
-    execSwitch();
-#endif
+    exec();
   } catch (const std::bad_alloc &) {
     // Safety net for hosts that run without MaxHeapBytes (or for
     // allocator failure below the modelled budget): degrade to the same
@@ -533,8 +803,7 @@ RunResult Interpreter::run(int32_t EntryMethodId, ExecutionListener *Listener,
   RunResult R;
   {
     obs::ScopedSpan Span(obs::Phase::VmRun);
-    Machine Mach(P, TheHeap, Listener, Plan, Io, Opts,
-                 IcSlots.empty() ? nullptr : IcSlots.data());
+    Machine Mach(P, TheHeap, Listener, Plan, Io, Opts);
     R = Mach.run(EntryMethodId);
   }
   obs::addCount(obs::Counter::BytecodesExecuted, R.InstrCount);

@@ -20,7 +20,6 @@
 #include "vm/Hooks.h"
 #include "vm/LoopEventMap.h"
 
-#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -43,14 +42,6 @@ struct PreparedMethod {
   analysis::Cfg Graph;
   analysis::LoopInfo Loops;
   LoopEventMap Events;
-  /// Superinstruction-fused copy of the method body, pc-aligned with
-  /// MethodInfo::Code (cluster interiors keep their original
-  /// instructions as shadows). Selected by RunOptions::Superinstructions.
-  std::vector<bc::Instr> FusedCode;
-  /// Per pc: global inline-cache slot for an InvokeVirtual site, -1 for
-  /// every other instruction. Slots index Interpreter-owned storage so
-  /// sweep workers sharing one PreparedProgram never share cache state.
-  std::vector<int32_t> IcSlot;
 };
 
 /// A module plus everything the VM and profilers need to run it.
@@ -59,8 +50,6 @@ struct PreparedProgram {
   std::vector<PreparedMethod> Methods;
   analysis::CallGraph Calls;
   analysis::RecursiveTypes RecTypes;
-  int32_t NumIcSlots = 0; ///< InvokeVirtual sites across all methods.
-  int FusedClusters = 0;  ///< Superinstruction clusters across all methods.
 
   /// Runs all static analyses over \p M. The module must outlive the
   /// result.
@@ -97,40 +86,9 @@ struct RunResult {
   bool ok() const { return Status == RunStatus::Ok; }
 };
 
-/// How the VM decodes and dispatches bytecode. Every tier executes the
-/// same semantics and fires byte-identical ExecutionListener event
-/// streams (locked by the dispatch differential tests); the tiers only
-/// trade portability for raw speed.
-enum class DispatchMode : uint8_t {
-  /// Best available: the direct-threaded loop when it was compiled in,
-  /// otherwise the portable switch loop.
-  Auto,
-  /// The portable switch decode loop.
-  Switch,
-  /// GNU computed-goto direct threading; silently falls back to Switch
-  /// when the build lacks it (see threadedDispatchCompiled()).
-  Threaded,
-};
-
-/// Stable lowercase mode name ("auto" | "switch" | "threaded").
-const char *dispatchModeName(DispatchMode M);
-
-/// True when this build carries the computed-goto loop
-/// (-DALGOPROF_THREADED_DISPATCH=ON and a GNU-compatible compiler).
+/// Always false: the VM has one decode loop, a portable switch. Kept
+/// for the benchmark's machine stamp, which records it.
 bool threadedDispatchCompiled();
-
-/// One monomorphic inline-cache entry for an InvokeVirtual site: the
-/// receiver class seen last time and the method it resolved to. MiniJ
-/// vtables are immutable after compilation, so entries never need
-/// invalidation; a cache miss simply re-resolves and overwrites.
-struct IcEntry {
-  /// IcEmptyClassId marks a never-filled entry. The sentinel must not
-  /// collide with any real receiver: array receivers carry class id -1
-  /// and object class ids are non-negative.
-  int32_t ClassId;
-  int32_t MethodId;
-};
-constexpr int32_t IcEmptyClassId = std::numeric_limits<int32_t>::min();
 
 /// Interpreter options.
 struct RunOptions {
@@ -157,16 +115,6 @@ struct RunOptions {
   /// selects std::chrono::steady_clock. Injectable clocks make deadline
   /// tests fully deterministic.
   uint64_t (*ClockNowMs)() = nullptr;
-  /// Decode-loop selection. All tiers are observationally identical;
-  /// the differential tests pin specific modes, everything else keeps
-  /// Auto and gets the fastest loop the build provides.
-  DispatchMode Dispatch = DispatchMode::Auto;
-  /// Execute the prepare-time superinstructions (PreparedMethod::
-  /// FusedCode). Off = single-step the original code array.
-  bool Superinstructions = true;
-  /// Monomorphic inline caches for InvokeVirtual, keyed on receiver
-  /// class id (single inheritance makes one id check sufficient).
-  bool InlineCaches = true;
 };
 
 /// Executes prepared programs. One Interpreter owns one heap; distinct
@@ -182,10 +130,7 @@ struct RunOptions {
 /// listener. This is what parallel::SweepEngine relies on.
 class Interpreter {
 public:
-  explicit Interpreter(const PreparedProgram &P)
-      : P(P), TheHeap(*P.M),
-        IcSlots(static_cast<size_t>(P.NumIcSlots),
-                IcEntry{IcEmptyClassId, -1}) {}
+  explicit Interpreter(const PreparedProgram &P) : P(P), TheHeap(*P.M) {}
 
   /// Runs static method \p EntryMethodId (which must take no arguments).
   /// \p Listener may be null. \p Plan selects which events fire.
@@ -203,12 +148,6 @@ public:
 private:
   const PreparedProgram &P;
   Heap TheHeap;
-  /// Inline-cache storage, one entry per InvokeVirtual site (indexed by
-  /// PreparedMethod::IcSlot). Owned per Interpreter — like the heap —
-  /// so concurrent sweep workers never share mutable state. Entries
-  /// stay warm across runs; the module is immutable, so a filled entry
-  /// can never go stale.
-  std::vector<IcEntry> IcSlots;
   bool InRun = false; ///< Debug re-entrancy guard.
 };
 

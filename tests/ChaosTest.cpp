@@ -605,6 +605,30 @@ TEST(ChaosJournal, FuzzedLogsNeverCrashAndSalvageTheValidPrefix) {
   std::remove(Path.c_str());
 }
 
+TEST(ChaosJournal, IsOpenIsRaceFreeDuringCompaction) {
+  // Session threads ask isOpen() without the journal lock while a
+  // replay or maintenance thread compacts, which swaps the append fd.
+  // Under ThreadSanitizer (tsan_parallel) an unsynchronized fd made
+  // the daemon's SIGTERM drain exit 66 in service_restart.
+  std::string Path = chaosScratchPath("isopen");
+  Journal J;
+  std::string Err;
+  ASSERT_TRUE(J.open(Path, Err)) << Err;
+  ASSERT_TRUE(J.appendAccepted(1, "pending"));
+  std::atomic<bool> Done{false};
+  std::thread Compactor([&] {
+    std::string CErr;
+    for (int I = 0; I < 50; ++I)
+      EXPECT_TRUE(J.compact(CErr)) << CErr;
+    Done.store(true);
+  });
+  while (!Done.load())
+    EXPECT_TRUE(J.isOpen());
+  Compactor.join();
+  J.close();
+  std::remove(Path.c_str());
+}
+
 TEST(ChaosJournal, CompactionKeepsPendingDropsCompletedPreservesMaxId) {
   std::string Path = chaosScratchPath("compact");
   Journal J;

@@ -299,10 +299,7 @@ std::string sessionOptionsSignature(const SessionOptions &SO) {
      << " maxframes=" << SO.Run.MaxFrames
      << " maxarray=" << SO.Run.MaxArrayLength
      << " maxheap=" << SO.Run.MaxHeapBytes
-     << " deadline=" << SO.Run.RunDeadlineMs
-     << " dispatch=" << vm::dispatchModeName(SO.Run.Dispatch)
-     << " superinstructions=" << SO.Run.Superinstructions
-     << " inlinecaches=" << SO.Run.InlineCaches << " runs=" << SO.Runs
+     << " deadline=" << SO.Run.RunDeadlineMs << " runs=" << SO.Runs
      << " jobs=" << SO.Jobs << " seeds=";
   for (int64_t S : SO.Seeds)
     OS << S << ",";
@@ -331,9 +328,6 @@ TEST(ParallelSweepTest, SerialAndSweepConsumeIdenticalOptions) {
   SO.Run.MaxArrayLength = 1 << 20;
   SO.Run.MaxHeapBytes = 1 << 22;
   SO.Run.RunDeadlineMs = 5000;
-  SO.Run.Dispatch = vm::DispatchMode::Switch;
-  SO.Run.Superinstructions = false;
-  SO.Run.InlineCaches = false;
   SO.Runs = 5;
   SO.Jobs = 3;
   SO.Seeds = {4, 8};

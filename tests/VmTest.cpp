@@ -1,6 +1,7 @@
 //===- tests/VmTest.cpp - Interpreter semantics tests ---------------------===//
 
 #include "TestUtil.h"
+#include "programs/Programs.h"
 
 #include <gtest/gtest.h>
 
@@ -476,7 +477,58 @@ TEST(Vm, FuelExhaustion) {
   Opts.Fuel = 10'000;
   vm::RunResult R = prof::runPlain(*CP, "Main", "main", &Io, Opts);
   EXPECT_EQ(R.Status, vm::RunStatus::FuelExhausted);
-  EXPECT_GE(R.InstrCount, 10'000u);
+  EXPECT_EQ(R.InstrCount, 10'000u);
+}
+
+TEST(Vm, FuelCutsAtExactInstruction) {
+  // Fuel is a hard cap on executed instructions: the run stops having
+  // executed exactly Fuel of them, wherever in the program that lands.
+  auto CP = compile(
+      programs::insertionSortProgram(16, 8, 1, programs::InputOrder::Random));
+  ASSERT_TRUE(CP);
+  for (uint64_t Fuel : {5u, 37u, 100u, 1000u}) {
+    vm::IoChannels Io;
+    vm::RunOptions Opts;
+    Opts.Fuel = Fuel;
+    vm::RunResult R = prof::runPlain(*CP, "Main", "main", &Io, Opts);
+    EXPECT_EQ(R.Status, vm::RunStatus::FuelExhausted) << "fuel=" << Fuel;
+    EXPECT_EQ(R.InstrCount, Fuel);
+  }
+}
+
+TEST(Vm, PolymorphicVirtualCalls) {
+  // One call site, receivers cycling through a base class and two
+  // overriding subclasses. Hand-computed over i = 0..59:
+  // Shape (i % 3 == 0) sums to 570, Square (i % 3 == 1) to 23390,
+  // Twice (i % 3 == 2) to 1220.
+  auto Out = runOk(R"(
+    class Shape {
+      int area(int x) { return x; }
+    }
+    class Square extends Shape {
+      int area(int x) { return x * x; }
+    }
+    class Twice extends Shape {
+      int area(int x) { return x + x; }
+    }
+    class Main {
+      static void main() {
+        Shape[] shapes = new Shape[3];
+        shapes[0] = new Shape();
+        shapes[1] = new Square();
+        shapes[2] = new Twice();
+        int i = 0;
+        int acc = 0;
+        while (i < 60) {
+          Shape s = shapes[i - i / 3 * 3];
+          acc = acc + s.area(i);
+          i = i + 1;
+        }
+        print(acc);
+      }
+    }
+  )");
+  EXPECT_EQ(Out, (std::vector<int64_t>{25180}));
 }
 
 TEST(Vm, InstrCountDeterministic) {

@@ -84,22 +84,6 @@ expect_rejected "--input empty field" "$ALGOPROF" "$WORK/ok.mj" --input 1,,3
 expect_rejected "--input overflow" "$ALGOPROF" "$WORK/ok.mj" \
   --input 99999999999999999999
 
-# --dispatch: every valid tier runs; the output must be byte-identical
-# to the default (the tiers differ only in speed); junk is rejected.
-for tier in auto switch threaded threaded+fused threaded+fused+ic; do
-  expect_ok "--dispatch $tier" "$ALGOPROF" "$WORK/ok.mj" \
-    --input 5 --dispatch "$tier"
-done
-base=$("$ALGOPROF" "$WORK/ok.mj" --input 7 --format table 2>&1)
-for tier in switch threaded+fused+ic; do
-  tierout=$("$ALGOPROF" "$WORK/ok.mj" --input 7 --format table \
-    --dispatch "$tier" 2>&1)
-  [ "$base" = "$tierout" ] \
-    || fail "--dispatch $tier output differs from default"
-done
-expect_rejected "--dispatch junk" "$ALGOPROF" "$WORK/ok.mj" --dispatch fast
-expect_rejected "--dispatch empty" "$ALGOPROF" "$WORK/ok.mj" --dispatch ""
-
 # Report-writer failures must be a failing exit with an error message,
 # not exit 0 with the file silently missing.
 out=$("$ALGOPROF" "$WORK/ok.mj" --format dot --out "$WORK/no_such_dir/t.dot" 2>&1)

@@ -14,8 +14,22 @@ DAEMON=$1
 CLIENT=$2
 WORK=$(mktemp -d)
 DPID=""
+STARTS=0
+# Every daemon incarnation logs to its own daemon.N.log (daemon.log
+# links to the current one), so a failure late in the script can still
+# show what an earlier incarnation printed. On failure, every daemon
+# log and any sanitizer report in $WORK go to stderr before $WORK is
+# removed, so the evidence reaches the ctest output.
 cleanup() {
   [ -n "$DPID" ] && kill -9 "$DPID" 2>/dev/null
+  if [ "$FAILURES" -gt 0 ]; then
+    for f in "$WORK"/daemon.*.log \
+             $(grep -lE 'Sanitizer|runtime error' "$WORK"/*.err 2>/dev/null); do
+      [ -f "$f" ] || continue
+      echo "--- ${f##*/} ---" >&2
+      cat "$f" >&2
+    done
+  fi
   rm -rf "$WORK"
 }
 trap cleanup EXIT
@@ -37,8 +51,10 @@ start_daemon() {
   # Extra arguments pass through (--compact-bytes for the compaction
   # sections below).
   rm -f "$SOCK"
+  STARTS=$((STARTS + 1))
+  ln -sfn "daemon.$STARTS.log" "$WORK/daemon.log"
   "$DAEMON" --socket "$SOCK" --journal "$JOURNAL" --jobs 2 "$@" \
-    > "$WORK/daemon.log" 2>&1 &
+    > "$WORK/daemon.$STARTS.log" 2>&1 &
   DPID=$!
   for _ in $(seq 100); do
     [ -S "$SOCK" ] && return 0

@@ -321,33 +321,6 @@ void checkCompiledProgram(const CompiledProgram &CP,
                       "--- parallel ---\n" + ParallelState,
                   Source);
 
-  // Dispatch dimension: the serial session above ran on the default
-  // tier (Auto dispatch, superinstructions and inline caches on). A
-  // session pinned to the reference switch loop with every fast path
-  // off must produce the byte-identical state — the fused/IC paths
-  // must preserve the listener ABI on arbitrary generated programs.
-  {
-    SessionOptions RefSO = SO;
-    RefSO.Run.Dispatch = vm::DispatchMode::Switch;
-    RefSO.Run.Superinstructions = false;
-    RefSO.Run.InlineCaches = false;
-    ProfileSession Ref(CP, RefSO);
-    std::vector<vm::RunResult> RefRuns;
-    for (int Run = 0; Run < O.Runs; ++Run) {
-      vm::IoChannels Io;
-      Io.Input = Input;
-      RefRuns.push_back(Ref.run("Main", "main", Io));
-    }
-    std::string RefState = renderState(RefRuns, Ref.tree(), Ref.inputs(),
-                                       Ref.buildProfiles(Grouping));
-    if (RefState != SerialState)
-      reportFailure(St, CaseIdx, CaseSeed,
-                    "dispatch-tier profile mismatch (" + OptsDesc + ")",
-                    "--- default tier ---\n" + SerialState +
-                        "--- switch/unfused ---\n" + RefState,
-                    Source);
-  }
-
   // Fault-plan dimension: arm one run-scoped fault under a quarantining
   // policy. Oracle: the degraded sweep reaches a defined outcome (never
   // a crash) and its merged profile byte-matches a serial session over
@@ -401,8 +374,7 @@ void checkCompiledProgram(const CompiledProgram &CP,
 
 /// Oracle 2: mutate the module; the verifier rejects, or the mutant
 /// executes to a defined outcome.
-void checkMutants(const CompiledProgram &CP, const std::string &Source,
-                  uint64_t CaseIdx, uint64_t CaseSeed,
+void checkMutants(const CompiledProgram &CP, uint64_t CaseSeed,
                   const FuzzOptions &O, Stats &St) {
   for (int K = 0; K < O.Mutants; ++K) {
     ++St.MutantsTried;
@@ -429,30 +401,6 @@ void checkMutants(const CompiledProgram &CP, const std::string &Source,
     Io.Input = {1, 2, 3};
     vm::RunResult R = Interp.run(Entry, nullptr, Plan, Io, runOptions(O));
     countRun(R, St);
-    // Dispatch differential over mutants too: verified mutants may
-    // contain hand-rolled fused opcodes (the mutator emits them), so
-    // this is the one place arbitrary fused instructions — not just
-    // fuser-selected clusters — run on both loops.
-    vm::RunOptions RefRO = runOptions(O);
-    RefRO.Dispatch = vm::DispatchMode::Switch;
-    RefRO.Superinstructions = false;
-    RefRO.InlineCaches = false;
-    vm::Interpreter RefInterp(Prep);
-    vm::IoChannels RefIo;
-    RefIo.Input = {1, 2, 3};
-    vm::RunResult RefR = RefInterp.run(Entry, nullptr, Plan, RefIo, RefRO);
-    if (RefR.Status != R.Status || RefR.InstrCount != R.InstrCount ||
-        RefR.TrapMessage != R.TrapMessage || RefIo.Output != Io.Output)
-      reportFailure(St, CaseIdx, CaseSeed,
-                    "mutant dispatch-tier mismatch",
-                    "default: " + std::string(vm::runStatusName(R.Status)) +
-                        " instr=" + std::to_string(R.InstrCount) + " msg='" +
-                        R.TrapMessage + "'\nswitch:  " +
-                        vm::runStatusName(RefR.Status) +
-                        " instr=" + std::to_string(RefR.InstrCount) +
-                        " msg='" + RefR.TrapMessage + "'\n" +
-                        bc::disassemble(Mut),
-                    Source);
   }
 }
 
@@ -496,7 +444,7 @@ void runCase(uint64_t CaseIdx, const FuzzOptions &O, Stats &St) {
     return;
   }
   checkCompiledProgram(*CP, Source, CaseIdx, CaseSeed, R, O, St);
-  checkMutants(*CP, Source, CaseIdx, CaseSeed, O, St);
+  checkMutants(*CP, CaseSeed, O, St);
 }
 
 int runCorpus(const FuzzOptions &O, Stats &St) {
@@ -536,7 +484,7 @@ int runCorpus(const FuzzOptions &O, Stats &St) {
       continue;
     Rng R(deriveSeed(O.Seed, 0xc0ULL + I));
     checkCompiledProgram(*CP, Files[I].string(), I, 0, R, O, St);
-    checkMutants(*CP, Files[I].string(), I, deriveSeed(O.Seed, I), O, St);
+    checkMutants(*CP, deriveSeed(O.Seed, I), O, St);
   }
   return 0;
 }

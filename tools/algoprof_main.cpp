@@ -29,13 +29,6 @@
 ///     --inject SPEC              arm deterministic faults, e.g.
 ///                                heap-oom@run3,io-write-fail@metrics
 ///                                (env: ALGOPROF_INJECT)
-///     --dispatch TIER            VM execution tier: auto (default) |
-///                                switch | threaded | threaded+fused |
-///                                threaded+fused+ic. All tiers produce
-///                                identical profiles; the explicit ones
-///                                exist for benchmarking and
-///                                differential testing
-///                                (docs/interpreter.md)
 ///     --corpus WHAT              batch-profile a whole corpus instead
 ///                                of one file: 'builtin' (every built-in
 ///                                example/Table-1 program) or a
@@ -128,8 +121,6 @@ void usageAndExit(const char *Argv0) {
                "[--jobs J] [--input v1,v2,...] [--seeds v1,v2,...] "
                "[--policy fail|skip|retry] [--retries N] "
                "[--max-heap-bytes N] [--deadline-ms N] [--inject SPEC] "
-               "[--dispatch auto|switch|threaded|threaded+fused|"
-               "threaded+fused+ic] "
                "[--cct] "
                "[--format table|tree|csv|dot|json] [--out FILE] "
                "[--trace FILE] [--metrics FILE]\n",
@@ -306,37 +297,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
                         Err.empty() ? "a fault spec like heap-oom@run3"
                                     : Err.c_str());
       Opts.InjectGiven = true;
-    } else if (Arg == "--dispatch") {
-      const char *V = Need(I);
-      std::string S = V ? V : "";
-      // Each value is one rung of the ablation ladder (see
-      // docs/interpreter.md): auto picks the fastest compiled-in loop
-      // with every fast path on; the explicit values pin a tier.
-      if (S == "auto") {
-        Opts.Session.Run.Dispatch = vm::DispatchMode::Auto;
-        Opts.Session.Run.Superinstructions = true;
-        Opts.Session.Run.InlineCaches = true;
-      } else if (S == "switch") {
-        Opts.Session.Run.Dispatch = vm::DispatchMode::Switch;
-        Opts.Session.Run.Superinstructions = false;
-        Opts.Session.Run.InlineCaches = false;
-      } else if (S == "threaded") {
-        Opts.Session.Run.Dispatch = vm::DispatchMode::Threaded;
-        Opts.Session.Run.Superinstructions = false;
-        Opts.Session.Run.InlineCaches = false;
-      } else if (S == "threaded+fused") {
-        Opts.Session.Run.Dispatch = vm::DispatchMode::Threaded;
-        Opts.Session.Run.Superinstructions = true;
-        Opts.Session.Run.InlineCaches = false;
-      } else if (S == "threaded+fused+ic") {
-        Opts.Session.Run.Dispatch = vm::DispatchMode::Threaded;
-        Opts.Session.Run.Superinstructions = true;
-        Opts.Session.Run.InlineCaches = true;
-      } else {
-        return argError("--dispatch", V,
-                        "auto|switch|threaded|threaded+fused|"
-                        "threaded+fused+ic");
-      }
     } else if (Arg == "--corpus") {
       const char *V = Need(I);
       if (!V || !*V)
