@@ -296,6 +296,8 @@ void AlgoProfiler::onGetField(ObjId Obj, int32_t FieldId, Value V) {
 void AlgoProfiler::onPutField(ObjId Obj, int32_t FieldId, Value New) {
   obs::addCount(obs::Counter::ListenerEvents);
   (void)FieldId;
+  // The store has happened: no earlier traversal may be reused for it.
+  Inputs.noteHeapWrite();
   recordStructureAccess(Obj, New, CostKind::StructPut);
 }
 
@@ -317,6 +319,7 @@ void AlgoProfiler::onArrayLoad(ObjId Arr, int64_t Index, Value V) {
 void AlgoProfiler::onArrayStore(ObjId Arr, int64_t Index, Value New) {
   obs::addCount(obs::Counter::ListenerEvents);
   (void)Index;
+  Inputs.noteHeapWrite();
   recordArrayAccess(Arr, CostKind::ArrayStore, New);
 }
 

@@ -4,6 +4,7 @@
 
 #include "obs/Obs.h"
 
+#include <algorithm>
 #include <cassert>
 #include <deque>
 
@@ -30,6 +31,28 @@ const char *algoprof::prof::equivalenceStrategyName(EquivalenceStrategy S) {
 // Bookkeeping primitives
 //===----------------------------------------------------------------------===//
 
+/// Reference elements (class instances or sub-arrays) versus primitive
+/// values.
+static bool isRefType(const Module &M, TypeId T) {
+  RtTypeKind K = M.Types[static_cast<size_t>(T)].Kind;
+  return K == RtTypeKind::Class || K == RtTypeKind::Array;
+}
+
+/// One value's share of a value set's order-independent hash (the sum
+/// over its members); splitmix64's finalizer.
+static uint64_t mixValue(int64_t V) {
+  uint64_t X = static_cast<uint64_t>(V) + 0x9e3779b97f4a7c15ull;
+  X = (X ^ (X >> 30)) * 0xbf58476d1ce4e5b9ull;
+  X = (X ^ (X >> 27)) * 0x94d049bb133111ebull;
+  return X ^ (X >> 31);
+}
+
+/// The value-index key of a value set of element type \p ElemType.
+static uint64_t valueKey(TypeId ElemType, size_t Size, uint64_t Hash) {
+  return Hash ^ mixValue((static_cast<int64_t>(ElemType) << 32) ^
+                         static_cast<int64_t>(Size));
+}
+
 int32_t InputTable::canonical(int32_t Id) const {
   assert(Id >= 0 && Id < static_cast<int32_t>(Parent.size()));
   while (Parent[static_cast<size_t>(Id)] != Id)
@@ -51,6 +74,8 @@ int32_t InputTable::newInput(bool IsArray, int32_t TypeKey,
   Info.Label = std::move(Label);
   Inputs.push_back(std::move(Info));
   Parent.push_back(Inputs.back().Id);
+  if (Strategy == EquivalenceStrategy::AllElements)
+    ValueHash.push_back(0);
   return Inputs.back().Id;
 }
 
@@ -91,6 +116,38 @@ int32_t InputTable::merge(int32_t A, int32_t B) {
   return A;
 }
 
+void InputTable::insertValue(int32_t Id, int64_t V) {
+  InputInfo &Info = Inputs[static_cast<size_t>(Id)];
+  if (Strategy != EquivalenceStrategy::AllElements) {
+    Info.ValueSet.insert(V);
+    return;
+  }
+  if (Info.ValueSet.count(V))
+    return;
+  unindexValues(Id);
+  Info.ValueSet.insert(V);
+  ValueHash[static_cast<size_t>(Id)] += mixValue(V);
+  indexValues(Id);
+}
+
+void InputTable::indexValues(int32_t Id) {
+  const InputInfo &Info = Inputs[static_cast<size_t>(Id)];
+  ValueIndex[valueKey(Info.TypeKey, Info.ValueSet.size(),
+                      ValueHash[static_cast<size_t>(Id)])]
+      .push_back(Id);
+}
+
+void InputTable::unindexValues(int32_t Id) {
+  const InputInfo &Info = Inputs[static_cast<size_t>(Id)];
+  auto It = ValueIndex.find(valueKey(Info.TypeKey, Info.ValueSet.size(),
+                                     ValueHash[static_cast<size_t>(Id)]));
+  assert(It != ValueIndex.end() && "primitive-array input not indexed");
+  std::vector<int32_t> &Ids = It->second;
+  Ids.erase(std::find(Ids.begin(), Ids.end(), Id));
+  if (Ids.empty())
+    ValueIndex.erase(It);
+}
+
 void InputTable::assign(ObjId Obj, int32_t Input, int32_t ClassId) {
   Input = canonical(Input);
   auto It = ObjToInput.find(Obj);
@@ -99,12 +156,14 @@ void InputTable::assign(ObjId Obj, int32_t Input, int32_t ClassId) {
     if (Cur == Input)
       return;
     // Under overlap-style identity, conflicting attribution means the
-    // structures are the same input. Under AllElements/SameType the
-    // membership map is only a cache: re-point it without merging.
+    // structures are the same input. Under SameType the map is only a
+    // cache of the latest input (onArrayAccess reads it): re-point it.
+    // Under AllElements it names the owner, the one input whose Members
+    // holds the object: leave it.
     if (Strategy == EquivalenceStrategy::SomeElements ||
         Strategy == EquivalenceStrategy::SameArray)
       merge(Cur, Input);
-    else
+    else if (Strategy == EquivalenceStrategy::SameType)
       It->second = Input;
     return;
   }
@@ -224,6 +283,28 @@ SizeMeasures InputTable::measureArrayObject(ObjId Arr) const {
   return Sizes;
 }
 
+/// The most entries (one per start object plus one per object visited)
+/// the AllElements memo holds. A read-only walk over an n-node list
+/// memoizes every suffix, about n²/2 entries; past this bound the memo
+/// starts over, which costs traversals but never exactness.
+static constexpr size_t MemoBudget = size_t(1) << 18;
+
+const InputTable::Snapshot &InputTable::snapshotAt(ObjId Start) {
+  if (MemoEpoch != HeapEpoch || MemoEntries > MemoBudget) {
+    Memo.clear();
+    MemoEntries = 0;
+    MemoEpoch = HeapEpoch;
+  }
+  auto [It, Fresh] = Memo.try_emplace(Start);
+  Snapshot &S = It->second;
+  if (Fresh) {
+    S.Sizes = H->get(Start).IsArray ? measureArrayObject(Start)
+                                    : traverseStructure(Start, S.Visited);
+    MemoEntries += 1 + S.Visited.size();
+  }
+  return S;
+}
+
 //===----------------------------------------------------------------------===//
 // Identification
 //===----------------------------------------------------------------------===//
@@ -238,8 +319,12 @@ static std::string arrayLabel(const Module &M, TypeId ElemType) {
 }
 
 int32_t InputTable::identifyStructureSnapshot(ObjId Start) {
-  std::vector<std::pair<ObjId, int32_t>> Visited;
-  SizeMeasures Sizes = traverseStructure(Start, Visited);
+  std::vector<std::pair<ObjId, int32_t>> Scratch;
+  if (Strategy != EquivalenceStrategy::AllElements)
+    traverseStructure(Start, Scratch);
+  const std::vector<std::pair<ObjId, int32_t>> &Visited =
+      Strategy == EquivalenceStrategy::AllElements ? snapshotAt(Start).Visited
+                                                   : Scratch;
   int32_t StartClass = H->get(Start).ClassId;
   int32_t TypeKey = RT.ClassScc[static_cast<size_t>(StartClass)];
 
@@ -259,25 +344,19 @@ int32_t InputTable::identifyStructureSnapshot(ObjId Start) {
     break;
   }
   case EquivalenceStrategy::AllElements: {
-    // Exact set equality against each live structure input.
-    for (const InputInfo &Info : Inputs) {
-      if (!Info.Alive || Info.IsArray)
-        continue;
-      if (Info.Members.size() != Visited.size())
-        continue;
-      bool Equal = true;
-      for (const auto &[Obj, ClassId] : Visited) {
-        (void)ClassId;
-        if (!Info.Members.count(Obj)) {
-          Equal = false;
-          break;
-        }
-      }
-      if (Equal) {
-        Target = Info.Id;
-        break;
-      }
-    }
+    // Exact set equality. Members sets are disjoint, so the only input
+    // that can hold every visited object is the owner of Start.
+    auto It = ObjToInput.find(Start);
+    if (It == ObjToInput.end())
+      break;
+    const InputInfo &Owner = Inputs[static_cast<size_t>(It->second)];
+    if (Owner.Alive && !Owner.IsArray &&
+        Owner.Members.size() == Visited.size() &&
+        std::all_of(Visited.begin(), Visited.end(),
+                    [&Owner](const std::pair<ObjId, int32_t> &V) {
+                      return Owner.Members.count(V.first) != 0;
+                    }))
+      Target = Owner.Id;
     break;
   }
   case EquivalenceStrategy::SameType: {
@@ -295,16 +374,13 @@ int32_t InputTable::identifyStructureSnapshot(ObjId Start) {
                       structureLabel(M, StartClass));
   for (const auto &[Obj, ClassId] : Visited)
     assign(Obj, Target, ClassId);
-  (void)Sizes;
   return canonical(Target);
 }
 
 int32_t InputTable::identifyArraySnapshot(ObjId Arr) {
   const HeapObject &Obj = H->get(Arr);
   TypeId ElemType = M.Types[static_cast<size_t>(Obj.Type)].Elem;
-  bool RefElems =
-      M.Types[static_cast<size_t>(ElemType)].Kind == RtTypeKind::Class ||
-      M.Types[static_cast<size_t>(ElemType)].Kind == RtTypeKind::Array;
+  bool RefElems = isRefType(M, ElemType);
 
   int32_t Target = -1;
   switch (Strategy) {
@@ -339,42 +415,15 @@ int32_t InputTable::identifyArraySnapshot(ObjId Arr) {
     break;
   }
   case EquivalenceStrategy::AllElements: {
-    SizeMeasures Mine = measureArrayObject(Arr);
-    for (const InputInfo &Info : Inputs) {
-      if (!Info.Alive || !Info.IsArray || Info.TypeKey != ElemType)
-        continue;
-      if (RefElems) {
-        // Member set equality (elements only; the array object itself is
-        // also a member, so compare via contained elements).
-        bool Equal = true;
-        int64_t NonNull = 0;
-        for (const Value &V : Obj.Slots) {
-          if (!V.IsRef || V.isNullRef())
-            continue;
-          ++NonNull;
-          if (!Info.Members.count(V.Bits)) {
-            Equal = false;
-            break;
-          }
-        }
-        // Members also contains backing array ids; require the element
-        // count to match the non-array member count.
-        if (Equal &&
-            NonNull == static_cast<int64_t>(Info.Members.size()) -
-                           countArrayMembers(Info))
-          Target = Info.Id;
-      } else {
-        std::unordered_set<int64_t> Mine2;
-        for (const Value &V : Obj.Slots)
-          if (V.Bits != 0)
-            Mine2.insert(V.Bits);
-        if (Mine2 == Info.ValueSet)
-          Target = Info.Id;
-      }
-      if (Target >= 0)
-        break;
+    if (RefElems) {
+      Target = equalRefArrayInput(Obj, ElemType);
+      break;
     }
-    (void)Mine;
+    std::unordered_set<int64_t> Values;
+    for (const Value &V : Obj.Slots)
+      if (V.Bits != 0)
+        Values.insert(V.Bits);
+    Target = equalValueArrayInput(Values, ElemType);
     break;
   }
   case EquivalenceStrategy::SameType: {
@@ -387,8 +436,11 @@ int32_t InputTable::identifyArraySnapshot(ObjId Arr) {
   }
   }
 
-  if (Target < 0)
+  if (Target < 0) {
     Target = newInput(/*IsArray=*/true, ElemType, arrayLabel(M, ElemType));
+    if (Strategy == EquivalenceStrategy::AllElements && !RefElems)
+      indexValues(Target);
+  }
 
   InputInfo &Info = infoMut(Target);
   Info.MaxCapacitySeen =
@@ -407,13 +459,66 @@ int32_t InputTable::identifyArraySnapshot(ObjId Arr) {
                                    ? -1
                                    : H->get(V.Bits).ClassId);
     } else if (V.Bits != 0) {
+      insertValue(canonical(Target), V.Bits);
       InputInfo &Reg = infoMut(Target);
-      Reg.ValueSet.insert(V.Bits);
       Reg.SeedValues.insert(V.Bits);
       Reg.RunValueSet.insert(V.Bits);
     }
   }
   return canonical(Target);
+}
+
+int32_t InputTable::equalRefArrayInput(const HeapObject &Arr,
+                                       TypeId ElemType) const {
+  int64_t NonNull = 0;
+  ObjId First = NullObj;
+  for (const Value &V : Arr.Slots)
+    if (V.IsRef && !V.isNullRef() && NonNull++ == 0)
+      First = V.ref();
+  auto Equal = [&](const InputInfo &Info) {
+    if (!Info.Alive || !Info.IsArray || Info.TypeKey != ElemType)
+      return false;
+    for (const Value &V : Arr.Slots)
+      if (V.IsRef && !V.isNullRef() && !Info.Members.count(V.Bits))
+        return false;
+    // Members also contains backing array ids; require the element
+    // count to match the non-array member count.
+    return NonNull == static_cast<int64_t>(Info.Members.size()) -
+                          countArrayMembers(Info);
+  };
+  if (NonNull > 0) {
+    // Members sets are disjoint: only the owner of the first element can
+    // hold them all.
+    auto It = ObjToInput.find(First);
+    return It != ObjToInput.end() &&
+                   Equal(Inputs[static_cast<size_t>(It->second)])
+               ? It->second
+               : -1;
+  }
+  // All null: no element names a candidate, so scan in id order.
+  for (const InputInfo &Info : Inputs)
+    if (Equal(Info))
+      return Info.Id;
+  return -1;
+}
+
+int32_t
+InputTable::equalValueArrayInput(const std::unordered_set<int64_t> &Values,
+                                 TypeId ElemType) const {
+  uint64_t Hash = 0;
+  for (int64_t V : Values)
+    Hash += mixValue(V);
+  auto It = ValueIndex.find(valueKey(ElemType, Values.size(), Hash));
+  if (It == ValueIndex.end())
+    return -1;
+  int32_t Found = -1;
+  for (int32_t Id : It->second) {
+    const InputInfo &Info = Inputs[static_cast<size_t>(Id)];
+    if ((Found < 0 || Id < Found) && Info.Alive && Info.IsArray &&
+        Info.TypeKey == ElemType && Info.ValueSet == Values)
+      Found = Id;
+  }
+  return Found;
 }
 
 int32_t InputTable::onStructureAccess(ObjId Obj, Value Other) {
@@ -458,7 +563,8 @@ int32_t InputTable::onStructureAccess(ObjId Obj, Value Other) {
     return newInput(/*IsArray=*/false, TypeKey,
                     structureLabel(M, StartClass));
   }
-  // AllElements: a fresh snapshot on every access.
+  // AllElements: a snapshot on every access (a traversal only after a
+  // heap write, see snapshotAt).
   return identifyStructureSnapshot(Obj);
 }
 
@@ -494,9 +600,8 @@ void InputTable::onArrayStoreValue(int32_t Input, ObjId Arr, Value V) {
     return;
   }
   if (V.Bits != 0) {
-    InputInfo &Info = infoMut(Input);
-    Info.ValueSet.insert(V.Bits);
-    Info.RunValueSet.insert(V.Bits);
+    insertValue(Input, V.Bits);
+    infoMut(Input).RunValueSet.insert(V.Bits);
   }
 }
 
@@ -578,8 +683,12 @@ std::vector<int32_t> InputTable::merge(const InputTable &Other,
     // are disjoint between runs. (AllElements additionally re-identifies
     // on every access, which a post-hoc merge cannot replay; see
     // docs/parallel_sweeps.md.)
-    if (Target < 0)
+    if (Target < 0) {
       Target = newInput(Src.IsArray, Src.TypeKey, Src.Label);
+      if (Strategy == EquivalenceStrategy::AllElements && Src.IsArray &&
+          !isRefType(M, Src.TypeKey))
+        indexValues(Target);
+    }
     Target = canonical(Target);
     InputInfo &Dst = infoMut(Target);
     Dst.IsStream |= Src.IsStream;
@@ -589,7 +698,7 @@ std::vector<int32_t> InputTable::merge(const InputTable &Other,
       ObjToInput.emplace(NewObj, Target);
     }
     for (int64_t V : Src.ValueSet)
-      Dst.ValueSet.insert(V);
+      insertValue(Target, V);
     for (int64_t V : Src.SeedValues)
       Dst.SeedValues.insert(V);
     for (const auto &[ClassId, N] : Src.MemberClassCounts)
@@ -615,17 +724,24 @@ std::vector<int32_t> InputTable::merge(const InputTable &Other,
 SizeMeasures InputTable::measureFrom(ObjId Ref, int32_t Input) {
   obs::ScopedTimer Timer(obs::Phase::Snapshot);
   Input = canonical(Input);
-  const InputInfo &Info = Inputs[static_cast<size_t>(Input)];
-  if (Info.IsArray && H->get(Ref).IsArray) {
-    SizeMeasures Sizes = measureArrayObject(Ref);
-    InputInfo &Mut = infoMut(Input);
-    Mut.MaxCapacitySeen = std::max(Mut.MaxCapacitySeen, Sizes.Capacity);
-    Mut.RunMaxCapacitySeen =
-        std::max(Mut.RunMaxCapacitySeen, Sizes.Capacity);
+  InputInfo &Info = Inputs[static_cast<size_t>(Input)];
+  bool AllElements = Strategy == EquivalenceStrategy::AllElements;
+  bool RefIsArray = H->get(Ref).IsArray;
+  if (Info.IsArray && RefIsArray) {
+    SizeMeasures Sizes =
+        AllElements ? snapshotAt(Ref).Sizes : measureArrayObject(Ref);
+    Info.MaxCapacitySeen = std::max(Info.MaxCapacitySeen, Sizes.Capacity);
+    Info.RunMaxCapacitySeen =
+        std::max(Info.RunMaxCapacitySeen, Sizes.Capacity);
     return Sizes;
   }
-  // Structure snapshot; refresh membership under overlap-style
-  // strategies so later accesses take the fast path.
+  // Structure snapshot. The memo sizes arrays as arrays, so a structure
+  // input measured from an array (which AllElements never produces)
+  // traverses afresh.
+  if (AllElements && !RefIsArray)
+    return snapshotAt(Ref).Sizes;
+  // Refresh membership under overlap-style strategies so later accesses
+  // take the fast path.
   std::vector<std::pair<ObjId, int32_t>> Visited;
   SizeMeasures Sizes = traverseStructure(Ref, Visited);
   if (Strategy == EquivalenceStrategy::SomeElements ||
@@ -658,6 +774,10 @@ SizeMeasures InputTable::trackedMeasures(int32_t Input) const {
 }
 
 void InputTable::beginRun() {
+  // A new run's heap: no memoized traversal survives it.
+  ++HeapEpoch;
+  Memo.clear();
+  MemoEntries = 0;
   for (InputInfo &Info : Inputs) {
     Info.RunMemberCount = 0;
     Info.RunValueSet.clear();

@@ -14,6 +14,23 @@
 /// touches objects not yet attributed to any input — exactly the paper's
 /// first-access / exit-remeasure optimization.
 ///
+/// AllElements (S1 ≡ S2) re-identifies on every access, and keeps that
+/// exact without scanning the inputs:
+///  - Owner map. An object joins an input's Members only at its first
+///    assign, and AllElements never merges inputs, so Members sets are
+///    disjoint and ObjToInput names each object's one owner. A snapshot
+///    can only equal the owner of its start object (structures) or of
+///    its first non-null element (reference arrays).
+///  - Value index. Primitive-array inputs are indexed by element type,
+///    value-set size and an order-independent hash of the value set; a
+///    lookup verifies exact equality and takes the lowest matching id,
+///    as an id-order scan would.
+///  - Heap-write epoch. A counter bumped by every hooked field store
+///    (the link fields traversals follow), every array store and every
+///    run start. Traversals are memoized per start object while the
+///    epoch is unchanged, so accesses with no write in between share
+///    one traversal. The memo's size is bounded (see snapshotAt).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef ALGOPROF_CORE_INPUTTABLE_H
@@ -125,7 +142,8 @@ public:
   /// Canonical id after merges.
   int32_t canonical(int32_t Id) const;
 
-  /// Canonical input of \p Obj, or -1 when unattributed.
+  /// Canonical input of \p Obj, or -1 when unattributed. Under
+  /// AllElements this is the object's owner: the input it joined first.
   int32_t inputOf(vm::ObjId Obj) const;
 
   /// Identification at a recursive-link field access on \p Obj whose
@@ -156,9 +174,15 @@ public:
   SizeMeasures trackedMeasures(int32_t Input) const;
 
   /// Marks a run boundary: resets every input's run-scoped measurement
-  /// counters (InputInfo::Run*). Identification state is untouched.
-  /// Called by the profiler at program start.
+  /// counters (InputInfo::Run*) and starts a new heap-write epoch.
+  /// Identification state is untouched. Called by the profiler at
+  /// program start.
   void beginRun();
+
+  /// Marks a heap write that can change a traversal: a hooked field
+  /// store or an array store. The VM reports the event after the store,
+  /// so the profiler calls this before the event's identification.
+  void noteHeapWrite() { ++HeapEpoch; }
 
   /// Folds a completed shard table \p Other into this one, replaying the
   /// identification decisions a serial multi-run session would have made
@@ -193,7 +217,8 @@ public:
     return static_cast<int>(Inputs.size());
   }
 
-  /// Number of traversal snapshots taken (overhead accounting).
+  /// Number of traversals taken (overhead accounting). A memoized
+  /// AllElements snapshot counts once, however often it is reused.
   int64_t snapshotsTaken() const { return Snapshots; }
 
 private:
@@ -220,6 +245,32 @@ private:
   int32_t identifyStructureSnapshot(vm::ObjId Start);
   int32_t identifyArraySnapshot(vm::ObjId Arr);
 
+  /// AllElements: the input whose members are exactly \p Arr's non-null
+  /// elements, or -1.
+  int32_t equalRefArrayInput(const vm::HeapObject &Arr,
+                             bc::TypeId ElemType) const;
+  /// AllElements: the lowest-id input whose value set is exactly \p
+  /// Values, or -1.
+  int32_t equalValueArrayInput(const std::unordered_set<int64_t> &Values,
+                               bc::TypeId ElemType) const;
+
+  /// Inserts \p V into input \p Id's ValueSet; under AllElements also
+  /// moves the input to its new value-index key.
+  void insertValue(int32_t Id, int64_t V);
+  void indexValues(int32_t Id);
+  void unindexValues(int32_t Id);
+
+  /// AllElements: one traversal from a start object — the structure
+  /// BFS (Visited plus sizes) from a class instance, the array
+  /// measurement from an array.
+  struct Snapshot {
+    std::vector<std::pair<vm::ObjId, int32_t>> Visited;
+    SizeMeasures Sizes;
+  };
+  /// AllElements: the traversal from \p Start, taken at most once per
+  /// heap-write epoch.
+  const Snapshot &snapshotAt(vm::ObjId Start);
+
   const bc::Module &M;
   const analysis::RecursiveTypes &RT;
   EquivalenceStrategy Strategy;
@@ -231,6 +282,15 @@ private:
   int32_t OutputStreamId = -1;
   std::unordered_map<int64_t, int32_t> ObjToInput;
   mutable int64_t Snapshots = 0;
+
+  // AllElements only (see the file comment).
+  uint64_t HeapEpoch = 0;
+  uint64_t MemoEpoch = 0; ///< The epoch Memo's traversals belong to.
+  std::unordered_map<int64_t, Snapshot> Memo;
+  size_t MemoEntries = 0; ///< Starts plus visited objects held in Memo.
+  std::vector<uint64_t> ValueHash; ///< Per input id: hash of its ValueSet.
+  /// Value-index key -> primitive-array input ids.
+  std::unordered_map<uint64_t, std::vector<int32_t>> ValueIndex;
 };
 
 } // namespace prof

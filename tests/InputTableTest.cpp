@@ -171,6 +171,37 @@ TEST(InputTable, AllElementsSplitsEvolvingStructure) {
   EXPECT_GT(S->inputs().liveHeapInputs().size(), 1u);
 }
 
+TEST(InputTable, AllElementsRepeatedReadsOfGrownListAreNewInputs) {
+  // Characterizes where AllElements departs from the paper's S1 ≡ S2.
+  // A list grows 3 -> 4 nodes and is then read twice with no write in
+  // between. The snapshots are {x1}, {x2 x1}, {x3 x2 x1}, {y x3 x2 x1},
+  // then {y x3 x2 x1} twice more. Set equality would map the two reads
+  // to the grown list's input: 4 inputs. But assign adds an object only
+  // to the first input it joins, so the grown list's input holds just
+  // {y}, no input's members ever equal the whole list again, and each
+  // read makes a new (empty) input: 6 are observed.
+  auto CP = compile(R"(
+    class Node { Node next; }
+    class Main {
+      static void main() {
+        Node list = null;
+        for (int i = 0; i < 3; i++) {
+          Node x = new Node();
+          x.next = list;
+          list = x;
+        }
+        Node y = new Node();
+        y.next = list;
+        list = y;
+        Node a = list.next;
+        Node b = list.next;
+      }
+    }
+  )");
+  auto S = profileSrc(*CP, EquivalenceStrategy::AllElements);
+  EXPECT_EQ(S->inputs().liveHeapInputs().size(), 6u);
+}
+
 TEST(InputTable, PayloadObjectsExcludedFromStructure) {
   auto CP = compile(R"(
     class Box { int v; }

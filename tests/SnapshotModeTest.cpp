@@ -189,4 +189,255 @@ TEST(SnapshotMode, ShrinkingListEagerIsExactTrackedOverestimates) {
   EXPECT_EQ(Tracked["Main.sum loop#0"], N);
 }
 
+//===----------------------------------------------------------------------===//
+// AllElements snapshot memo: every heap write invalidates it
+//===----------------------------------------------------------------------===//
+
+/// The size each recorded invocation of \p Node observed (the largest
+/// MaxSize over the inputs it touched), in invocation order.
+std::vector<int64_t> invocationSizes(const RepetitionTree &T,
+                                     const std::string &Node) {
+  std::vector<int64_t> Sizes;
+  T.forEach([&](const RepetitionNode &N) {
+    if (N.Name != Node)
+      return;
+    for (const InvocationRecord &R : N.History) {
+      int64_t Max = 0;
+      for (const auto &[Id, Use] : R.Inputs) {
+        (void)Id;
+        Max = std::max(Max, Use.MaxSize);
+      }
+      Sizes.push_back(Max);
+    }
+  });
+  return Sizes;
+}
+
+/// Profiles one run of \p Src under AllElements with Eager sizing and
+/// returns the per-invocation sizes of \p Node.
+std::vector<int64_t> allElementsSizes(const std::string &Src,
+                                      const std::string &Node) {
+  auto CP = compile(Src);
+  EXPECT_TRUE(CP);
+  if (!CP)
+    return {};
+  SessionOptions Opts;
+  Opts.Profile.Equivalence = EquivalenceStrategy::AllElements;
+  Opts.Profile.Snapshots = SnapshotMode::Eager;
+  ProfileSession S(*CP, Opts);
+  vm::RunResult R = S.run("Main", "main");
+  EXPECT_TRUE(R.ok()) << R.TrapMessage;
+  return invocationSizes(S.tree(), Node);
+}
+
+TEST(SnapshotMode, AllElementsLinkWritesInvalidateMemo) {
+  // A list of n = 12 is read from its head, k = 4 nodes are unlinked by
+  // link-field writes, and the list is read again from the same head.
+  // The second read must traverse the shrunk list: n, then n - k.
+  const char *Src = R"(
+    class Node {
+      Node next;
+      int v;
+    }
+    class Main {
+      static Node build(int n) {
+        Node head = null;
+        int i = 0;
+        while (i < n) {
+          Node x = new Node();
+          x.v = i;
+          x.next = head;
+          head = x;
+          i = i + 1;
+        }
+        return head;
+      }
+      static void unlink(Node head, int k) {
+        Node p = head;
+        int i = 0;
+        while (i < k) {
+          p.next = p.next.next;
+          p = p.next;
+          i = i + 1;
+        }
+      }
+      static int sum(Node head) {
+        int s = 0;
+        Node p = head;
+        while (p != null) {
+          s = s + p.v;
+          p = p.next;
+        }
+        return s;
+      }
+      static void main() {
+        Node head = build(12);
+        print(sum(head));
+        unlink(head, 4);
+        print(sum(head));
+      }
+    }
+  )";
+  EXPECT_EQ(allElementsSizes(Src, "Main.sum loop#0"),
+            (std::vector<int64_t>{12, 12 - 4}));
+}
+
+TEST(SnapshotMode, AllElementsArrayStoreIntoLinkedArrayInvalidatesMemo) {
+  // The root's kids array is reached through a link field. Storing one
+  // node into it between two reads from the root adds one object to
+  // the structure: 1 (the root), then 2.
+  const char *Src = R"(
+    class Node {
+      Node[] kids;
+      int v;
+    }
+    class Main {
+      static int width(Node r) {
+        int w = 0;
+        int i = 0;
+        while (i < 1) {
+          Node[] k = r.kids;
+          w = w + k.length;
+          i = i + 1;
+        }
+        return w;
+      }
+      static void main() {
+        Node root = new Node();
+        root.kids = new Node[3];
+        print(width(root));
+        root.kids[1] = new Node();
+        print(width(root));
+      }
+    }
+  )";
+  EXPECT_EQ(allElementsSizes(Src, "Main.width loop#0"),
+            (std::vector<int64_t>{1, 2}));
+}
+
+TEST(SnapshotMode, AllElementsRowStoreInvalidatesOuterArrayMemo) {
+  // A 3x3 int[][] counts unique elements per level: 3 distinct row
+  // references plus one distinct value (0) per row, 6 in all. Storing
+  // 7 into row 1 between two reads of the outer array gives that row a
+  // second distinct value: 6, then 7.
+  const char *Src = R"(
+    class Main {
+      static int rows(int[][] g) {
+        int c = 0;
+        int i = 0;
+        while (i < 1) {
+          int[] r = g[0];
+          c = c + r.length;
+          i = i + 1;
+        }
+        return c;
+      }
+      static void main() {
+        int[][] g = new int[3][3];
+        print(rows(g));
+        g[1][2] = 7;
+        print(rows(g));
+      }
+    }
+  )";
+  EXPECT_EQ(allElementsSizes(Src, "Main.rows loop#0"),
+            (std::vector<int64_t>{6, 7}));
+}
+
+TEST(SnapshotMode, AllElementsLongReadOnlyWalkStaysExact) {
+  // Walking a list of n = 800 without writes memoizes every suffix it
+  // starts from, about n²/2 = 320,000 entries, more than the memo holds,
+  // so the memo starts over during the walk. The walk's size stays
+  // exact: its first access sees all n nodes.
+  const char *Src = R"(
+    class Node {
+      Node next;
+      int v;
+    }
+    class Main {
+      static void main() {
+        Node head = null;
+        int i = 0;
+        while (i < 800) {
+          Node x = new Node();
+          x.v = i;
+          x.next = head;
+          head = x;
+          i = i + 1;
+        }
+        int s = 0;
+        Node p = head;
+        while (p != null) {
+          s = s + p.v;
+          p = p.next;
+        }
+        print(s);
+      }
+    }
+  )";
+  EXPECT_EQ(allElementsSizes(Src, "Main.main loop#1"),
+            (std::vector<int64_t>{800}));
+}
+
+TEST(SnapshotMode, AllElementsRunStartInvalidatesMemo) {
+  // One profiler, two runs, each on a fresh interpreter, so object ids
+  // restart at zero and the second run's head has the first run's
+  // head's id. Each run reads its head alone (size 1), then appends n
+  // nodes and reads again (n + 1). The second run must size its own
+  // heap, exactly as a fresh profiler does.
+  const char *Src = R"(
+    class Node {
+      Node next;
+    }
+    class Main {
+      static int len(Node h) {
+        int c = 0;
+        Node p = h;
+        while (p != null) {
+          c = c + 1;
+          p = p.next;
+        }
+        return c;
+      }
+      static void main() {
+        int n = readInt();
+        Node head = new Node();
+        print(len(head));
+        Node p = head;
+        int i = 0;
+        while (i < n) {
+          Node x = new Node();
+          p.next = x;
+          p = x;
+          i = i + 1;
+        }
+        print(len(head));
+      }
+    }
+  )";
+  auto CP = compile(Src);
+  ASSERT_TRUE(CP);
+  ProfileOptions PO;
+  PO.Equivalence = EquivalenceStrategy::AllElements;
+  PO.Snapshots = SnapshotMode::Eager;
+  vm::InstrumentationPlan Plan = makeInstrumentationPlan(*CP, false);
+  auto RunOn = [&](AlgoProfiler &Prof, int64_t N) {
+    vm::Interpreter Interp(CP->Prep);
+    vm::IoChannels Io;
+    Io.Input = {N};
+    vm::RunResult R = Interp.run(CP->entryMethod("Main", "main"), &Prof,
+                                 Plan, Io, vm::RunOptions());
+    EXPECT_TRUE(R.ok()) << R.TrapMessage;
+  };
+  AlgoProfiler Shared(CP->Prep, PO);
+  RunOn(Shared, 5);
+  RunOn(Shared, 2);
+  AlgoProfiler Fresh(CP->Prep, PO);
+  RunOn(Fresh, 2);
+  EXPECT_EQ(invocationSizes(Shared.tree(), "Main.len loop#0"),
+            (std::vector<int64_t>{1, 6, 1, 3}));
+  EXPECT_EQ(invocationSizes(Fresh.tree(), "Main.len loop#0"),
+            (std::vector<int64_t>{1, 3}));
+}
+
 } // namespace

@@ -55,9 +55,9 @@ expect_rejected() {
   out=$("$@" 2>&1)
   rc=$?
   if [ "$rc" -eq 0 ]; then
-    fail "$desc: expected non-zero exit, got 0"
+    fail "$desc: expected non-zero exit, got 0: $out"
   elif [ "$rc" -ge 128 ]; then
-    fail "$desc: died with signal (exit $rc)"
+    fail "$desc: died with signal (exit $rc): $out"
   elif ! printf '%s' "$out" | grep -qi "invalid value\|usage:"; then
     fail "$desc: no diagnostic printed: $out"
   fi
@@ -89,14 +89,14 @@ expect_rejected "--input overflow" "$ALGOPROF" "$WORK/ok.mj" \
 out=$("$ALGOPROF" "$WORK/ok.mj" --format dot --out "$WORK/no_such_dir/t.dot" 2>&1)
 rc=$?
 if [ "$rc" -eq 0 ]; then
-  fail "--format dot to unwritable path: expected non-zero exit"
+  fail "--format dot to unwritable path: expected non-zero exit: $out"
 elif ! printf '%s' "$out" | grep -q "cannot write"; then
   fail "--format dot to unwritable path: no error message: $out"
 fi
 out=$("$ALGOPROF" "$WORK/ok.mj" --format csv --out "$WORK/no_such_dir/t.csv" 2>&1)
 rc=$?
 if [ "$rc" -eq 0 ]; then
-  fail "--format csv to unwritable path: expected non-zero exit"
+  fail "--format csv to unwritable path: expected non-zero exit: $out"
 fi
 
 # Unified reporting: --format NAME [--out FILE] is the one rendering
@@ -114,7 +114,7 @@ expect_ok "--format dot --out" "$ALGOPROF" "$WORK/ok.mj" \
 for flag in csv dot; do
   out=$("$ALGOPROF" "$WORK/ok.mj" --input 5 "--$flag" "$WORK/legacy.$flag" 2>&1)
   rc=$?
-  [ "$rc" -ne 0 ] || fail "--$flag: removed alias accepted (exit 0)"
+  [ "$rc" -ne 0 ] || fail "--$flag: removed alias accepted (exit 0): $out"
   printf '%s' "$out" | grep -q "removed.*--format $flag" \
     || fail "--$flag: rejection does not name the replacement: $out"
   [ ! -e "$WORK/legacy.$flag" ] || fail "--$flag: removed alias wrote a file"
@@ -142,12 +142,12 @@ grep -q "algoprof_counter_total" "$WORK/t.prom" \
 out=$("$ALGOPROF" "$WORK/ok.mj" --trace "$WORK/no_such_dir/t.json" 2>&1)
 rc=$?
 if [ "$rc" -eq 0 ]; then
-  fail "--trace to unwritable path: expected non-zero exit"
+  fail "--trace to unwritable path: expected non-zero exit: $out"
 elif ! printf '%s' "$out" | grep -q "cannot write"; then
   fail "--trace to unwritable path: no error message: $out"
 fi
 out=$("$ALGOPROF" "$WORK/ok.mj" --metrics "$WORK/no_such_dir/t.prom" 2>&1)
-[ $? -ne 0 ] || fail "--metrics to unwritable path: expected non-zero exit"
+[ $? -ne 0 ] || fail "--metrics to unwritable path: expected non-zero exit: $out"
 
 # Defined overflow semantics end-to-end: the division used to raise
 # SIGFPE (exit 136); it must now complete as an ordinary run. The
@@ -196,7 +196,7 @@ printf '%s' "$serial" | grep -q "a.mj" \
 out=$("$ALGOPROF" --corpus "$WORK/corpus" --seeds 3,5,7 --jobs 2 \
   --policy skip --inject run-start-fail@run1 2>&1)
 rc=$?
-[ "$rc" -eq 0 ] || fail "--corpus degraded run: expected exit 0, got $rc"
+[ "$rc" -eq 0 ] || fail "--corpus degraded run: expected exit 0, got $rc: $out"
 printf '%s' "$out" | grep -q "degraded" \
   || fail "--corpus degraded run: no degraded status: $out"
 

@@ -70,8 +70,8 @@ grep -q '"run": 3, "status": "budget"' "$WORK/degraded.json" \
 # surviving seeds (quarantine removes the run, not just its report).
 SURVIVORS=1,2,3,5,6,7,8,9,10,11,12,13,14,15,16
 "$ALGOPROF" "$WORK/alloc.mj" --seeds "$SURVIVORS" \
-  --format json --out "$WORK/serial.json" >/dev/null 2>&1 \
-  || fail "survivor serial sweep failed"
+  --format json --out "$WORK/serial.json" >"$WORK/serial.log" 2>&1 \
+  || fail "survivor serial sweep failed (see serial.log)"
 # Compare the algorithms section only (degraded_runs differs by design).
 sed '/"degraded_runs"/,$d' "$WORK/degraded.json" > "$WORK/degraded.algo"
 sed '/"degraded_runs"/,$d' "$WORK/serial.json" > "$WORK/serial.algo"
@@ -83,7 +83,7 @@ cmp -s "$WORK/degraded.algo" "$WORK/serial.algo" \
 out=$("$ALGOPROF" "$WORK/alloc.mj" --seeds "$SEEDS" --jobs 4 \
       --inject heap-oom@run3 2>&1)
 rc=$?
-[ "$rc" -ne 0 ] || fail "fail policy: expected non-zero exit"
+[ "$rc" -ne 0 ] || fail "fail policy: expected non-zero exit: $out"
 printf '%s' "$out" | grep -q "error: run 3 failed (budget heap_bytes)" \
   || fail "fail policy: error does not name run and budget: $out"
 
@@ -99,12 +99,12 @@ printf '%s' "$out" | grep -q "quarantined" \
 # Run budgets end runs deterministically with the budget named.
 out=$("$ALGOPROF" "$WORK/alloc.mj" --input 100000 --max-heap-bytes 4096 2>&1)
 rc=$?
-[ "$rc" -ne 0 ] || fail "--max-heap-bytes: expected non-zero exit"
+[ "$rc" -ne 0 ] || fail "--max-heap-bytes: expected non-zero exit: $out"
 printf '%s' "$out" | grep -q "budget heap_bytes" \
   || fail "--max-heap-bytes: budget not named: $out"
 out=$("$ALGOPROF" "$WORK/spin.mj" --deadline-ms 1 2>&1)
 rc=$?
-[ "$rc" -ne 0 ] || fail "--deadline-ms: expected non-zero exit"
+[ "$rc" -ne 0 ] || fail "--deadline-ms: expected non-zero exit: $out"
 printf '%s' "$out" | grep -q "budget deadline" \
   || fail "--deadline-ms: budget not named: $out"
 
@@ -112,30 +112,30 @@ printf '%s' "$out" | grep -q "budget deadline" \
 out=$("$ALGOPROF" "$WORK/alloc.mj" --inject io-write-fail@report \
       --format json --out "$WORK/r.json" 2>&1)
 rc=$?
-[ "$rc" -ne 0 ] || fail "io-write-fail@report: expected non-zero exit"
+[ "$rc" -ne 0 ] || fail "io-write-fail@report: expected non-zero exit: $out"
 printf '%s' "$out" | grep -q "cannot write" \
   || fail "io-write-fail@report: no write error: $out"
 out=$("$ALGOPROF" "$WORK/alloc.mj" --inject io-write-fail@trace \
       --trace "$WORK/t.json" 2>&1)
-[ $? -ne 0 ] || fail "io-write-fail@trace: expected non-zero exit"
+[ $? -ne 0 ] || fail "io-write-fail@trace: expected non-zero exit: $out"
 out=$("$ALGOPROF" "$WORK/alloc.mj" --inject io-write-fail@metrics \
       --metrics "$WORK/m.prom" 2>&1)
-[ $? -ne 0 ] || fail "io-write-fail@metrics: expected non-zero exit"
+[ $? -ne 0 ] || fail "io-write-fail@metrics: expected non-zero exit: $out"
 # The report stream fault must not affect a metrics-only invocation.
 "$ALGOPROF" "$WORK/alloc.mj" --inject io-write-fail@report \
-  --metrics "$WORK/ok.prom" >/dev/null 2>&1 \
-  || fail "io-write-fail@report broke an unrelated metrics write"
+  --metrics "$WORK/ok.prom" >"$WORK/metrics_only.log" 2>&1 \
+  || fail "io-write-fail@report broke an unrelated metrics write (see metrics_only.log)"
 
 # ALGOPROF_INJECT is the env fallback; an explicit --inject wins.
 out=$(ALGOPROF_INJECT=run-start-fail@run0 "$ALGOPROF" "$WORK/alloc.mj" 2>&1)
-[ $? -ne 0 ] || fail "ALGOPROF_INJECT: expected non-zero exit"
+[ $? -ne 0 ] || fail "ALGOPROF_INJECT: expected non-zero exit: $out"
 printf '%s' "$out" | grep -q "error: run 0 failed" \
   || fail "ALGOPROF_INJECT: injected failure not reported: $out"
 ALGOPROF_INJECT=run-start-fail@run0 "$ALGOPROF" "$WORK/alloc.mj" \
-  --inject "" >/dev/null 2>&1 \
-  || fail "--inject \"\" did not override ALGOPROF_INJECT"
+  --inject "" >"$WORK/inject_override.log" 2>&1 \
+  || fail "--inject \"\" did not override ALGOPROF_INJECT (see inject_override.log)"
 out=$(ALGOPROF_INJECT=bogus "$ALGOPROF" "$WORK/alloc.mj" 2>&1)
-[ $? -ne 0 ] || fail "invalid ALGOPROF_INJECT: expected non-zero exit"
+[ $? -ne 0 ] || fail "invalid ALGOPROF_INJECT: expected non-zero exit: $out"
 printf '%s' "$out" | grep -q "invalid ALGOPROF_INJECT" \
   || fail "invalid ALGOPROF_INJECT: no diagnostic: $out"
 
@@ -144,16 +144,22 @@ for bad in "heap-oom@metrics" "io-write-fail@run3" "io-write-fail@report:once" \
            "bogus@run1"; do
   out=$("$ALGOPROF" "$WORK/alloc.mj" --inject "$bad" 2>&1)
   rc=$?
-  [ "$rc" -ne 0 ] || fail "--inject $bad: expected non-zero exit"
+  [ "$rc" -ne 0 ] || fail "--inject $bad: expected non-zero exit: $out"
   printf '%s' "$out" | grep -qi "invalid value" \
     || fail "--inject $bad: no diagnostic: $out"
 done
 out=$("$ALGOPROF" "$WORK/alloc.mj" --policy sometimes 2>&1)
-[ $? -ne 0 ] || fail "--policy sometimes: expected non-zero exit"
+[ $? -ne 0 ] || fail "--policy sometimes: expected non-zero exit: $out"
 out=$("$ALGOPROF" "$WORK/alloc.mj" --retries -1 2>&1)
-[ $? -ne 0 ] || fail "--retries -1: expected non-zero exit"
+[ $? -ne 0 ] || fail "--retries -1: expected non-zero exit: $out"
 
 if [ "$FAILURES" -ne 0 ]; then
+  # The trap removes $WORK: print every captured log first.
+  for log in "$WORK"/*.log; do
+    [ -e "$log" ] || continue
+    echo "--- $(basename "$log")" >&2
+    cat "$log" >&2
+  done
   echo "$FAILURES resilience cli test(s) failed" >&2
   exit 1
 fi

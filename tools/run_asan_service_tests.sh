@@ -35,7 +35,7 @@ if ! c++ -fsanitize=address,undefined "$PROBE_DIR/probe.cpp" \
 fi
 
 cmake -S "$SRC" -B "$ASAN_DIR" -DALGOPROF_ASAN_UBSAN=ON \
-      -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
+      -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$ASAN_DIR" \
       --target algoprof_service_tests algoprofd algoprof_client -j "$JOBS"
 cd "$ASAN_DIR"

@@ -35,7 +35,7 @@ if ! c++ -fsanitize=thread "$PROBE_DIR/probe.cpp" -o "$PROBE_DIR/probe" \
 fi
 
 cmake -S "$SRC" -B "$TSAN_DIR" -DALGOPROF_TSAN=ON \
-      -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
+      -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$TSAN_DIR" \
       --target algoprof_parallel_tests algoprof_service_tests \
                algoprofd algoprof_client -j "$JOBS"
