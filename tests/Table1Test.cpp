@@ -8,15 +8,6 @@ using namespace algoprof;
 using namespace algoprof::programs;
 using namespace algoprof::prof;
 
-namespace algoprof {
-namespace programs {
-/// Names a Table 1 row in test output. Without it gtest prints the
-/// parameter's bytes, which start with a heap pointer, so the ctest
-/// names would change from run to run.
-void PrintTo(const Table1Program &P, std::ostream *OS) { *OS << P.Name; }
-} // namespace programs
-} // namespace algoprof
-
 namespace {
 
 class Table1Test : public ::testing::TestWithParam<Table1Program> {};
