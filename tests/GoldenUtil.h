@@ -6,7 +6,7 @@
 /// mismatch. Regenerate after an intentional format change with
 ///
 ///   ALGOPROF_UPDATE_GOLDEN=1 ctest -L obs
-///   ALGOPROF_UPDATE_GOLDEN=1 ctest -R AllElementsGolden
+///   ALGOPROF_UPDATE_GOLDEN=1 ctest -R 'AllElementsGolden|EagerGolden'
 ///
 /// which rewrites the files in the source tree.
 ///
