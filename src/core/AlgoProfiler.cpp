@@ -110,9 +110,8 @@ void AlgoProfiler::finalizeTop() {
     if (Inputs.info(Input).IsStream)
       continue;
     SizeMeasures Sizes = measureInput(Input, Live.LastRef);
-    Live.Use.observe(Sizes.primary(Inputs.info(Input).IsArray,
-                                   Opts.ArrayMeasure),
-                     Sizes.Capacity, Sizes.UniqueElems, Sizes.RefCount);
+    Live.Use.observe(Sizes.primary(Opts.ArrayMeasure), Sizes.Capacity,
+                     Sizes.UniqueElems, Sizes.RefCount);
   }
 
   // Collapse inputs that were merged during the invocation.
@@ -155,9 +154,8 @@ void AlgoProfiler::touchInput(Activation &A, int32_t Input, ObjId Ref) {
     LiveUse Live;
     Live.LastRef = Ref;
     SizeMeasures Sizes = measureInput(Input, Ref);
-    Live.Use.observe(Sizes.primary(Inputs.info(Input).IsArray,
-                                   Opts.ArrayMeasure),
-                     Sizes.Capacity, Sizes.UniqueElems, Sizes.RefCount);
+    Live.Use.observe(Sizes.primary(Opts.ArrayMeasure), Sizes.Capacity,
+                     Sizes.UniqueElems, Sizes.RefCount);
     A.Inputs.emplace(Input, std::move(Live));
     return;
   }

@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <deque>
 
 using namespace algoprof;
 using namespace algoprof::prof;
@@ -61,8 +60,15 @@ int32_t InputTable::canonical(int32_t Id) const {
 }
 
 int32_t InputTable::inputOf(ObjId Obj) const {
-  auto It = ObjToInput.find(Obj);
-  return It == ObjToInput.end() ? -1 : canonical(It->second);
+  int32_t Owner = ownerOf(Obj);
+  return Owner < 0 ? -1 : canonical(Owner);
+}
+
+int32_t &InputTable::ownerSlot(ObjId Obj) {
+  size_t Idx = static_cast<size_t>(Obj);
+  if (Idx >= ObjToInput.size())
+    ObjToInput.resize(Idx + 1, -1);
+  return ObjToInput[Idx];
 }
 
 int32_t InputTable::newInput(bool IsArray, int32_t TypeKey,
@@ -150,9 +156,9 @@ void InputTable::unindexValues(int32_t Id) {
 
 void InputTable::assign(ObjId Obj, int32_t Input, int32_t ClassId) {
   Input = canonical(Input);
-  auto It = ObjToInput.find(Obj);
-  if (It != ObjToInput.end()) {
-    int32_t Cur = canonical(It->second);
+  int32_t &Owner = ownerSlot(Obj);
+  if (Owner >= 0) {
+    int32_t Cur = canonical(Owner);
     if (Cur == Input)
       return;
     // Under overlap-style identity, conflicting attribution means the
@@ -164,10 +170,10 @@ void InputTable::assign(ObjId Obj, int32_t Input, int32_t ClassId) {
         Strategy == EquivalenceStrategy::SameArray)
       merge(Cur, Input);
     else if (Strategy == EquivalenceStrategy::SameType)
-      It->second = Input;
+      Owner = Input;
     return;
   }
-  ObjToInput.emplace(Obj, Input);
+  Owner = Input;
   InputInfo &Info = Inputs[static_cast<size_t>(canonical(Input))];
   Info.Members.insert(Obj);
   ++Info.RunMemberCount;
@@ -197,21 +203,35 @@ std::vector<int32_t> InputTable::liveHeapInputs() const {
 // Traversal
 //===----------------------------------------------------------------------===//
 
-SizeMeasures InputTable::traverseStructure(
-    ObjId Start, std::vector<std::pair<ObjId, int32_t>> &Visited) const {
+void InputTable::beginTraversal() {
   assert(H && "heap not attached");
+  MarkBase = H->numObjects() - H->numLiveObjects();
+  size_t Live = static_cast<size_t>(H->numLiveObjects());
+  if (Marks.size() < Live)
+    Marks.resize(Live, 0);
+  // Generation 0 never marks: it is what fresh and wrapped-over marks
+  // hold.
+  if (++MarkGen == 0) {
+    std::fill(Marks.begin(), Marks.end(), 0);
+    MarkGen = 1;
+  }
+  Work.clear();
+  WorkHead = 0;
+}
+
+SizeMeasures InputTable::traverseStructure(
+    ObjId Start, std::vector<std::pair<ObjId, int32_t>> &Visited) {
   ++Snapshots;
   SizeMeasures Sizes;
-  std::unordered_set<int64_t> Seen;
-  std::deque<ObjId> Work;
+  beginTraversal();
+  Visited.clear();
   Work.push_back(Start);
-  Seen.insert(Start);
+  mark(Start);
 
   uint64_t Steps = 0;
-  while (!Work.empty()) {
+  while (WorkHead < Work.size()) {
     ++Steps;
-    ObjId Cur = Work.front();
-    Work.pop_front();
+    ObjId Cur = Work[WorkHead++];
     const HeapObject &Obj = H->get(Cur);
 
     if (Obj.IsArray) {
@@ -220,14 +240,13 @@ SizeMeasures InputTable::traverseStructure(
         if (!Elem.IsRef || Elem.isNullRef())
           continue;
         ++Sizes.RefCount;
-        if (Seen.insert(Elem.ref()).second)
+        if (mark(Elem.ref()))
           Work.push_back(Elem.ref());
       }
       continue;
     }
 
     ++Sizes.ObjectCount;
-    ++Sizes.PerClass[Obj.ClassId];
     Visited.emplace_back(Cur, Obj.ClassId);
 
     const ClassInfo &C = M.Classes[static_cast<size_t>(Obj.ClassId)];
@@ -238,7 +257,7 @@ SizeMeasures InputTable::traverseStructure(
       const Value &V = Obj.Slots[Slot];
       if (!V.IsRef || V.isNullRef())
         continue;
-      if (Seen.insert(V.ref()).second)
+      if (mark(V.ref()))
         Work.push_back(V.ref());
     }
   }
@@ -246,39 +265,31 @@ SizeMeasures InputTable::traverseStructure(
   return Sizes;
 }
 
-SizeMeasures InputTable::measureArrayObject(ObjId Arr) const {
-  assert(H && "heap not attached");
+SizeMeasures InputTable::measureArrayObject(ObjId Arr) {
   ++Snapshots;
   SizeMeasures Sizes;
   // Multi-dimensional arrays count all levels (paper Sec. 3.4: the
   // triangular int[][] example has size 3 + (0+1+2)). Sub-arrays are
-  // visited once; a visited set guards against reference cycles.
-  std::unordered_set<int64_t> VisitedArrays;
-  std::deque<ObjId> Work;
+  // visited once; the marks guard against reference cycles.
+  beginTraversal();
   Work.push_back(Arr);
-  VisitedArrays.insert(Arr);
-  while (!Work.empty()) {
-    ObjId Cur = Work.front();
-    Work.pop_front();
-    const HeapObject &Obj = H->get(Cur);
+  mark(Arr);
+  while (WorkHead < Work.size()) {
+    const HeapObject &Obj = H->get(Work[WorkHead++]);
     Sizes.Capacity += static_cast<int64_t>(Obj.Slots.size());
-    std::unordered_set<int64_t> Unique;
+    LevelValues.clear();
     for (const Value &V : Obj.Slots) {
       if (V.IsRef) {
         if (V.isNullRef())
           continue;
-        if (H->get(V.ref()).IsArray) {
-          if (VisitedArrays.insert(V.ref()).second)
-            Work.push_back(V.ref());
-          Unique.insert(V.Bits);
-        } else {
-          Unique.insert(V.Bits);
-        }
-      } else {
-        Unique.insert(V.Bits);
+        if (H->get(V.ref()).IsArray && mark(V.ref()))
+          Work.push_back(V.ref());
       }
+      LevelValues.push_back(V.Bits);
     }
-    Sizes.UniqueElems += static_cast<int64_t>(Unique.size());
+    std::sort(LevelValues.begin(), LevelValues.end());
+    Sizes.UniqueElems += std::unique(LevelValues.begin(), LevelValues.end()) -
+                         LevelValues.begin();
   }
   return Sizes;
 }
@@ -319,12 +330,11 @@ static std::string arrayLabel(const Module &M, TypeId ElemType) {
 }
 
 int32_t InputTable::identifyStructureSnapshot(ObjId Start) {
-  std::vector<std::pair<ObjId, int32_t>> Scratch;
   if (Strategy != EquivalenceStrategy::AllElements)
-    traverseStructure(Start, Scratch);
+    traverseStructure(Start, VisitedScratch);
   const std::vector<std::pair<ObjId, int32_t>> &Visited =
       Strategy == EquivalenceStrategy::AllElements ? snapshotAt(Start).Visited
-                                                   : Scratch;
+                                                   : VisitedScratch;
   int32_t StartClass = H->get(Start).ClassId;
   int32_t TypeKey = RT.ClassScc[static_cast<size_t>(StartClass)];
 
@@ -335,21 +345,19 @@ int32_t InputTable::identifyStructureSnapshot(ObjId Start) {
     // Any previously attributed member decides the input.
     for (const auto &[Obj, ClassId] : Visited) {
       (void)ClassId;
-      auto It = ObjToInput.find(Obj);
-      if (It == ObjToInput.end())
-        continue;
-      int32_t Found = canonical(It->second);
-      Target = Target < 0 ? Found : merge(Target, Found);
+      int32_t Found = inputOf(Obj);
+      if (Found >= 0)
+        Target = Target < 0 ? Found : merge(Target, Found);
     }
     break;
   }
   case EquivalenceStrategy::AllElements: {
     // Exact set equality. Members sets are disjoint, so the only input
     // that can hold every visited object is the owner of Start.
-    auto It = ObjToInput.find(Start);
-    if (It == ObjToInput.end())
+    int32_t OwnerId = ownerOf(Start);
+    if (OwnerId < 0)
       break;
-    const InputInfo &Owner = Inputs[static_cast<size_t>(It->second)];
+    const InputInfo &Owner = Inputs[static_cast<size_t>(OwnerId)];
     if (Owner.Alive && !Owner.IsArray &&
         Owner.Members.size() == Visited.size() &&
         std::all_of(Visited.begin(), Visited.end(),
@@ -393,11 +401,9 @@ int32_t InputTable::identifyArraySnapshot(ObjId Arr) {
       for (const Value &V : Obj.Slots) {
         if (!V.IsRef || V.isNullRef())
           continue;
-        auto It = ObjToInput.find(V.Bits);
-        if (It == ObjToInput.end())
-          continue;
-        int32_t Found = canonical(It->second);
-        Target = Target < 0 ? Found : merge(Target, Found);
+        int32_t Found = inputOf(V.Bits);
+        if (Found >= 0)
+          Target = Target < 0 ? Found : merge(Target, Found);
       }
     } else {
       // Overlap on non-default element values.
@@ -489,11 +495,9 @@ int32_t InputTable::equalRefArrayInput(const HeapObject &Arr,
   if (NonNull > 0) {
     // Members sets are disjoint: only the owner of the first element can
     // hold them all.
-    auto It = ObjToInput.find(First);
-    return It != ObjToInput.end() &&
-                   Equal(Inputs[static_cast<size_t>(It->second)])
-               ? It->second
-               : -1;
+    int32_t Owner = ownerOf(First);
+    return Owner >= 0 && Equal(Inputs[static_cast<size_t>(Owner)]) ? Owner
+                                                                    : -1;
   }
   // All null: no element names a candidate, so scan in id order.
   for (const InputInfo &Info : Inputs)
@@ -695,7 +699,9 @@ std::vector<int32_t> InputTable::merge(const InputTable &Other,
     for (int64_t Obj : Src.Members) {
       int64_t NewObj = Obj + ObjIdOffset;
       Dst.Members.insert(NewObj);
-      ObjToInput.emplace(NewObj, Target);
+      int32_t &Owner = ownerSlot(NewObj);
+      if (Owner < 0)
+        Owner = Target;
     }
     for (int64_t V : Src.ValueSet)
       insertValue(Target, V);
@@ -742,11 +748,10 @@ SizeMeasures InputTable::measureFrom(ObjId Ref, int32_t Input) {
     return snapshotAt(Ref).Sizes;
   // Refresh membership under overlap-style strategies so later accesses
   // take the fast path.
-  std::vector<std::pair<ObjId, int32_t>> Visited;
-  SizeMeasures Sizes = traverseStructure(Ref, Visited);
+  SizeMeasures Sizes = traverseStructure(Ref, VisitedScratch);
   if (Strategy == EquivalenceStrategy::SomeElements ||
       Strategy == EquivalenceStrategy::SameArray)
-    for (const auto &[Obj, ClassId] : Visited)
+    for (const auto &[Obj, ClassId] : VisitedScratch)
       assign(Obj, Input, ClassId);
   return Sizes;
 }
@@ -769,7 +774,6 @@ SizeMeasures InputTable::trackedMeasures(int32_t Input) const {
     (void)ClassId;
     Sizes.ObjectCount += N;
   }
-  Sizes.PerClass = Info.RunMemberClassCounts;
   return Sizes;
 }
 

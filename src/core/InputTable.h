@@ -14,6 +14,19 @@
 /// touches objects not yet attributed to any input — exactly the paper's
 /// first-access / exit-remeasure optimization.
 ///
+/// Eager sizing traverses every touched input twice per invocation, so
+/// snapshots allocate and hash nothing per visited object:
+///  - Dense owner map. Heap ids are dense across a session (a heap
+///    recycled between runs keeps its id space, and a sweep merge
+///    offsets each shard's ids past the runs merged before it), so
+///    ObjToInput is a vector indexed by object id, -1 for unattributed.
+///    It costs 4 bytes per object id up to the highest attributed id.
+///  - Generation-stamped marks. A traversal marks visited objects in a
+///    reused vector indexed by id minus the heap's first live id,
+///    stamping each mark with a per-traversal generation instead of
+///    clearing the vector; the BFS worklist and visited lists are
+///    reused buffers too.
+///
 /// AllElements (S1 ≡ S2) re-identifies on every access, and keeps that
 /// exact without scanning the inputs:
 ///  - Owner map. An object joins an input's Members only at its first
@@ -69,15 +82,13 @@ struct SizeMeasures {
   int64_t RefCount = 0;    ///< Non-null refs traversed through arrays.
   int64_t Capacity = 0;    ///< Array capacity.
   int64_t UniqueElems = 0; ///< Array unique-element count.
-  std::map<int32_t, int64_t> PerClass; ///< Objects per class id.
 
   /// The input's headline size. Structure snapshots report their object
   /// count; array snapshots the configured array measure. Inputs that
   /// merged arrays with the structures they hold (e.g. a Vertex[]
   /// registry of a linked graph) may be measured from either side — the
   /// object count wins whenever objects were reached.
-  int64_t primary(bool IsArray, ArraySizeMeasure M) const {
-    (void)IsArray;
+  int64_t primary(ArraySizeMeasure M) const {
     if (ObjectCount > 0)
       return ObjectCount;
     return M == ArraySizeMeasure::Capacity ? Capacity : UniqueElems;
@@ -229,14 +240,36 @@ private:
     return Inputs[static_cast<size_t>(canonical(Id))];
   }
 
-  /// BFS over recursive links and arrays from \p Start (a class
-  /// instance); fills \p Visited with (objId, classId-or-minus-1 for
-  /// arrays).
-  SizeMeasures traverseStructure(
-      vm::ObjId Start,
-      std::vector<std::pair<vm::ObjId, int32_t>> &Visited) const;
+  /// The input \p Obj was assigned to (not canonicalized), or -1.
+  int32_t ownerOf(vm::ObjId Obj) const {
+    return static_cast<size_t>(Obj) < ObjToInput.size()
+               ? ObjToInput[static_cast<size_t>(Obj)]
+               : -1;
+  }
 
-  SizeMeasures measureArrayObject(vm::ObjId Arr) const;
+  /// \p Obj's ObjToInput entry, growing the map to hold it.
+  int32_t &ownerSlot(vm::ObjId Obj);
+
+  /// Starts a traversal: a fresh mark generation covering every live
+  /// heap object, and an empty worklist.
+  void beginTraversal();
+  /// Marks \p Obj visited by the current traversal; false if it was.
+  bool mark(vm::ObjId Obj) {
+    uint32_t &Stamp = Marks[static_cast<size_t>(Obj - MarkBase)];
+    if (Stamp == MarkGen)
+      return false;
+    Stamp = MarkGen;
+    return true;
+  }
+
+  /// BFS over recursive links and arrays from \p Start (a class
+  /// instance); sets \p Visited to the (objId, classId-or-minus-1 for
+  /// arrays) pairs in visit order.
+  SizeMeasures
+  traverseStructure(vm::ObjId Start,
+                    std::vector<std::pair<vm::ObjId, int32_t>> &Visited);
+
+  SizeMeasures measureArrayObject(vm::ObjId Arr);
 
   /// How many of an input's members are arrays (backing storage rather
   /// than structure elements).
@@ -280,8 +313,18 @@ private:
   std::vector<int32_t> Parent; ///< Union-find over input ids.
   int32_t InputStreamId = -1;
   int32_t OutputStreamId = -1;
-  std::unordered_map<int64_t, int32_t> ObjToInput;
-  mutable int64_t Snapshots = 0;
+  /// Object id -> the input it was assigned to, -1 for unattributed.
+  std::vector<int32_t> ObjToInput;
+  int64_t Snapshots = 0;
+
+  // Traversal scratch, reused by every snapshot (see the file comment).
+  std::vector<uint32_t> Marks; ///< Per live object: last visit's MarkGen.
+  uint32_t MarkGen = 0;        ///< The current traversal's generation.
+  vm::ObjId MarkBase = 0;      ///< The heap id Marks[0] stands for.
+  std::vector<vm::ObjId> Work; ///< BFS worklist; WorkHead is its front.
+  size_t WorkHead = 0;
+  std::vector<std::pair<vm::ObjId, int32_t>> VisitedScratch;
+  std::vector<int64_t> LevelValues; ///< One array level's element values.
 
   // AllElements only (see the file comment).
   uint64_t HeapEpoch = 0;

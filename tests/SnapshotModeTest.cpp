@@ -189,10 +189,6 @@ TEST(SnapshotMode, ShrinkingListEagerIsExactTrackedOverestimates) {
   EXPECT_EQ(Tracked["Main.sum loop#0"], N);
 }
 
-//===----------------------------------------------------------------------===//
-// AllElements snapshot memo: every heap write invalidates it
-//===----------------------------------------------------------------------===//
-
 /// The size each recorded invocation of \p Node observed (the largest
 /// MaxSize over the inputs it touched), in invocation order.
 std::vector<int64_t> invocationSizes(const RepetitionTree &T,
@@ -212,6 +208,132 @@ std::vector<int64_t> invocationSizes(const RepetitionTree &T,
   });
   return Sizes;
 }
+
+//===----------------------------------------------------------------------===//
+// Eager traversal marks: exact sizes where dense marks can go wrong
+//===----------------------------------------------------------------------===//
+
+TEST(SnapshotMode, EagerSizesEachRunOfSessionOnRecycledHeap) {
+  // One session, three runs building lists of 9, 3 and 6 nodes. The
+  // heap is recycled between runs without reusing ids, so the second
+  // run's first object has id 9 and the third run's id 12: traversal
+  // marks are indexed from a non-zero base and the earlier runs' marks
+  // are stale. Every run's walk must see exactly its own list.
+  const char *Src = R"(
+    class Node {
+      Node next;
+    }
+    class Main {
+      static int len(Node h) {
+        int c = 0;
+        Node p = h;
+        while (p != null) {
+          c = c + 1;
+          p = p.next;
+        }
+        return c;
+      }
+      static void main() {
+        int n = readInt();
+        Node head = null;
+        int i = 0;
+        while (i < n) {
+          Node x = new Node();
+          x.next = head;
+          head = x;
+          i = i + 1;
+        }
+        print(len(head));
+      }
+    }
+  )";
+  auto CP = compile(Src);
+  ASSERT_TRUE(CP);
+  ProfileSession S(*CP);
+  int64_t FirstId = 0;
+  for (int64_t N : {9, 3, 6}) {
+    EXPECT_EQ(S.interpreter().heap().numObjects(), FirstId);
+    vm::IoChannels Io;
+    Io.Input = {N};
+    vm::RunResult R = S.run("Main", "main", Io);
+    ASSERT_TRUE(R.ok()) << R.TrapMessage;
+    EXPECT_EQ(Io.Output, (std::vector<int64_t>{N}));
+    FirstId += N;
+  }
+  EXPECT_EQ(invocationSizes(S.tree(), "Main.len loop#0"),
+            (std::vector<int64_t>{9, 3, 6}));
+}
+
+TEST(SnapshotMode, EagerCountsSharedObjectsOnceAndEveryArrayReference) {
+  // A doubly linked ring of n = 4 nodes; the head's extra array holds
+  // the third node twice. A snapshot from any node reaches the 4 nodes
+  // around the ring and the array through the head's link field: the
+  // third node is reached three times but counts once (ObjectCount 4),
+  // while both array slots are traversed references (RefCount 2).
+  const char *Src = R"(
+    class Node {
+      Node next;
+      Node prev;
+      Node[] extra;
+    }
+    class Main {
+      static int walk(Node h) {
+        int c = 1;
+        Node p = h.next;
+        while (p != h) {
+          c = c + 1;
+          p = p.next;
+        }
+        return c;
+      }
+      static void main() {
+        Node head = new Node();
+        head.next = head;
+        head.prev = head;
+        int i = 1;
+        while (i < 4) {
+          Node x = new Node();
+          Node last = head.prev;
+          x.next = head;
+          x.prev = last;
+          last.next = x;
+          head.prev = x;
+          i = i + 1;
+        }
+        Node third = head.next.next;
+        Node[] refs = new Node[2];
+        refs[0] = third;
+        refs[1] = third;
+        head.extra = refs;
+        print(walk(head));
+      }
+    }
+  )";
+  auto CP = compile(Src);
+  ASSERT_TRUE(CP);
+  ProfileSession S(*CP);
+  vm::IoChannels Io;
+  vm::RunResult R = S.run("Main", "main", Io);
+  ASSERT_TRUE(R.ok()) << R.TrapMessage;
+  EXPECT_EQ(Io.Output, (std::vector<int64_t>{4}));
+  std::vector<InputUse> Uses;
+  S.tree().forEach([&](const RepetitionNode &N) {
+    if (N.Name == "Main.walk loop#0")
+      for (const InvocationRecord &Rec : N.History)
+        for (const auto &[Id, Use] : Rec.Inputs) {
+          (void)Id;
+          Uses.push_back(Use);
+        }
+  });
+  ASSERT_EQ(Uses.size(), 1u);
+  EXPECT_EQ(Uses[0].FirstSize, 4);
+  EXPECT_EQ(Uses[0].LastSize, 4);
+  EXPECT_EQ(Uses[0].MaxRefCount, 2);
+}
+
+//===----------------------------------------------------------------------===//
+// AllElements snapshot memo: every heap write invalidates it
+//===----------------------------------------------------------------------===//
 
 /// Profiles one run of \p Src under AllElements with Eager sizing and
 /// returns the per-invocation sizes of \p Node.

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Build and run the `service` test label under ASan + UBSan.
+# Build and run the `service` test label and the input-sizing suites
+# under ASan + UBSan.
 #
 # The ctest test `asan_service` (registered in tests/CMakeLists.txt for
 # non-sanitizer builds) invokes this script, which configures a child
@@ -11,6 +12,12 @@
 # cycles through the real binaries — with the memory checkers armed.
 # The journal loader's bounds checks and the daemon's buffer handling
 # under partial frames are exactly where ASan/UBSan earn their keep.
+#
+# Before the service label it runs the input-sizing gtests
+# (SnapshotMode, InputTable, MultiMeasure, the AllElements and Eager
+# profile goldens, and the shard-merge MergeTest): snapshot traversals
+# index their marks and the object->input map by heap object id, so an
+# id off by the heap's base or a shard offset reads out of bounds.
 #
 # Usage: run_asan_service_tests.sh <source-dir> <binary-dir> [jobs]
 set -euo pipefail
@@ -37,6 +44,9 @@ fi
 cmake -S "$SRC" -B "$ASAN_DIR" -DALGOPROF_ASAN_UBSAN=ON \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$ASAN_DIR" \
-      --target algoprof_service_tests algoprofd algoprof_client -j "$JOBS"
+      --target algoprof_service_tests algoprof_tests \
+      algoprof_parallel_tests algoprofd algoprof_client -j "$JOBS"
 cd "$ASAN_DIR"
+ctest -R '^(SnapshotMode|InputTable|MultiMeasure|MergeTest)\.|/(AllElements|Eager)Golden\.' \
+      --no-tests=error --output-on-failure -j "$JOBS"
 exec ctest -L service --output-on-failure -j "$JOBS"
