@@ -696,13 +696,8 @@ std::vector<int32_t> InputTable::merge(const InputTable &Other,
     Target = canonical(Target);
     InputInfo &Dst = infoMut(Target);
     Dst.IsStream |= Src.IsStream;
-    for (int64_t Obj : Src.Members) {
-      int64_t NewObj = Obj + ObjIdOffset;
-      Dst.Members.insert(NewObj);
-      int32_t &Owner = ownerSlot(NewObj);
-      if (Owner < 0)
-        Owner = Target;
-    }
+    for (int64_t Obj : Src.Members)
+      Dst.Members.insert(Obj + ObjIdOffset);
     for (int64_t V : Src.ValueSet)
       insertValue(Target, V);
     for (int64_t V : Src.SeedValues)

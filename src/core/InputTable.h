@@ -17,10 +17,11 @@
 /// Eager sizing traverses every touched input twice per invocation, so
 /// snapshots allocate and hash nothing per visited object:
 ///  - Dense owner map. Heap ids are dense across a session (a heap
-///    recycled between runs keeps its id space, and a sweep merge
-///    offsets each shard's ids past the runs merged before it), so
-///    ObjToInput is a vector indexed by object id, -1 for unattributed.
-///    It costs 4 bytes per object id up to the highest attributed id.
+///    recycled between runs keeps its id space), so ObjToInput is a
+///    vector indexed by object id, -1 for unattributed. It costs 4
+///    bytes per object id up to the highest attributed id. Only tables
+///    that identify against a live heap fill it; a sweep's merged table
+///    records shard objects in Members alone.
 ///  - Generation-stamped marks. A traversal marks visited objects in a
 ///    reused vector indexed by id minus the heap's first live id,
 ///    stamping each mark with a per-traversal generation instead of
@@ -207,7 +208,9 @@ public:
   ///  - everything else stays a distinct input, preserving the shard's
   ///    creation order, so input ids match the serial session's.
   /// \p ObjIdOffset translates the shard's heap ids into this table's id
-  /// space (pass the total object count of all previously merged runs).
+  /// space (pass the total object count of all previously merged runs);
+  /// translated ids land in Members only, never in the owner map, which
+  /// nothing reads once a table merges instead of identifying.
   /// Returns the remap from every \p Other input id (dead ones included)
   /// to its canonical id in this table. Exactness caveat: AllElements
   /// cross-run equivalence is not replayed (see docs/parallel_sweeps.md).

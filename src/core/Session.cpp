@@ -10,6 +10,7 @@
 #include "parallel/SweepEngine.h"
 
 #include <algorithm>
+#include <thread>
 
 using namespace algoprof;
 using namespace algoprof::prof;
@@ -200,6 +201,30 @@ algoprof::prof::buildProfilesFrom(const RepetitionTree &Tree,
 }
 
 //===----------------------------------------------------------------------===//
+// Run plan
+//===----------------------------------------------------------------------===//
+
+size_t algoprof::prof::runCount(const std::vector<int64_t> &Seeds,
+                                int Runs) {
+  return Seeds.empty() ? static_cast<size_t>(std::max(1, Runs))
+                       : Seeds.size();
+}
+
+std::vector<vm::IoChannels>
+algoprof::prof::runInputs(const std::vector<int64_t> &Seeds, int Runs,
+                          const std::vector<int64_t> &Input) {
+  std::vector<vm::IoChannels> Out(runCount(Seeds, Runs));
+  for (size_t I = 0; I < Out.size(); ++I)
+    Out[I].Input = Seeds.empty() ? Input : std::vector<int64_t>{Seeds[I]};
+  return Out;
+}
+
+unsigned algoprof::prof::workerCount(int Jobs) {
+  return Jobs == 0 ? std::max(1u, std::thread::hardware_concurrency())
+                   : static_cast<unsigned>(std::max(1, Jobs));
+}
+
+//===----------------------------------------------------------------------===//
 // ProfileDriver
 //===----------------------------------------------------------------------===//
 
@@ -233,17 +258,11 @@ std::vector<vm::RunResult> ProfileDriver::runAll(const std::string &Cls,
   // Serial path: same run plan, executed in place on the accumulating
   // session.
   std::vector<vm::RunResult> Results;
-  size_t NumRuns = Opts.Seeds.empty()
-                       ? static_cast<size_t>(std::max(1, Opts.Runs))
-                       : Opts.Seeds.size();
-  Results.reserve(NumRuns);
-  for (size_t I = 0; I < NumRuns; ++I) {
-    vm::IoChannels Io;
-    if (!Opts.Seeds.empty())
-      Io.Input.push_back(Opts.Seeds[I]);
-    else
-      Io.Input = Opts.Input;
-    vm::RunResult R = Serial->run(Cls, Method, Io);
+  std::vector<vm::IoChannels> Inputs =
+      runInputs(Opts.Seeds, Opts.Runs, Opts.Input);
+  Results.reserve(Inputs.size());
+  for (size_t I = 0; I < Inputs.size(); ++I) {
+    vm::RunResult R = Serial->run(Cls, Method, Inputs[I]);
     if (!R.ok()) {
       resilience::FailureInfo FI;
       FI.Run = static_cast<int64_t>(I);

@@ -162,6 +162,22 @@ struct SessionOptions {
   resilience::FaultPlan Faults;
 };
 
+/// The run plan shared by every driver, sweep, corpus batch and daemon
+/// session: the number of profiled runs — one per seed, otherwise
+/// max(1, \p Runs).
+size_t runCount(const std::vector<int64_t> &Seeds, int Runs);
+
+/// The run plan's per-run input channels, in run order: each seeded run
+/// is pre-loaded with just its seed; unseeded runs all receive \p Input.
+std::vector<vm::IoChannels> runInputs(const std::vector<int64_t> &Seeds,
+                                      int Runs,
+                                      const std::vector<int64_t> &Input);
+
+/// Worker threads for a Jobs setting: 0 picks
+/// std::thread::hardware_concurrency() (at least 1); anything else is
+/// clamped to at least 1.
+unsigned workerCount(int Jobs);
+
 /// Groups \p Tree into algorithms and runs the full profile pipeline
 /// (combine, classify, extract series, fit) against \p Inputs. This is
 /// the common back half of ProfileSession::buildProfiles and

@@ -2,9 +2,6 @@
 
 #include "parallel/CorpusRunner.h"
 
-#include <algorithm>
-#include <thread>
-
 using namespace algoprof;
 using namespace algoprof::parallel;
 using namespace algoprof::prof;
@@ -21,23 +18,11 @@ CorpusResult CorpusRunner::run(const std::vector<CorpusEntry> &Entries,
 
   // The shared per-run input plan, identical for every program (the
   // corpus axis is programs × this seed grid).
-  std::vector<vm::IoChannels> RunInputs;
-  if (Opts.Seeds.empty()) {
-    RunInputs.resize(static_cast<size_t>(std::max(1, Opts.Runs)));
-    for (vm::IoChannels &Io : RunInputs)
-      Io.Input = Opts.Input;
-  } else {
-    RunInputs.resize(Opts.Seeds.size());
-    for (size_t I = 0; I < Opts.Seeds.size(); ++I)
-      RunInputs[I].Input.push_back(Opts.Seeds[I]);
-  }
-
-  unsigned Workers =
-      Opts.Jobs == 0 ? std::max(1u, std::thread::hardware_concurrency())
-                     : static_cast<unsigned>(std::max(1, Opts.Jobs));
+  const std::vector<vm::IoChannels> RunInputs =
+      runInputs(Opts.Seeds, Opts.Runs, Opts.Input);
 
   {
-    JobSystem Pool(Workers, Perturb);
+    JobSystem Pool(workerCount(Opts.Jobs), Perturb);
     // One compile job per program. Each slot of Out.Programs is written
     // by exactly one job (the vector is pre-sized, so no reallocation
     // races), and successful compiles enqueue their run jobs onto the

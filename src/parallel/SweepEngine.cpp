@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <thread>
 
 using namespace algoprof;
 using namespace algoprof::parallel;
@@ -72,17 +71,8 @@ SweepEngine::buildProfiles(GroupingStrategy Strategy) const {
 
 SweepResult SweepEngine::sweep(const std::string &Cls,
                                const std::string &Method) {
-  std::vector<vm::IoChannels> RunInputs;
-  if (Opts.Seeds.empty()) {
-    RunInputs.resize(static_cast<size_t>(std::max(1, Opts.Runs)));
-    for (vm::IoChannels &Io : RunInputs)
-      Io.Input = Opts.Input;
-  } else {
-    RunInputs.resize(Opts.Seeds.size());
-    for (size_t I = 0; I < Opts.Seeds.size(); ++I)
-      RunInputs[I].Input.push_back(Opts.Seeds[I]);
-  }
-  return sweepWithInputs(Cls, Method, RunInputs);
+  return sweepWithInputs(Cls, Method,
+                         runInputs(Opts.Seeds, Opts.Runs, Opts.Input));
 }
 
 SweepResult
@@ -94,12 +84,8 @@ SweepEngine::sweepWithInputs(const std::string &Cls,
   if (RunInputs.empty())
     return Out;
 
-  int Threads = Opts.Jobs;
-  unsigned Workers =
-      Threads == 0 ? std::max(1u, std::thread::hardware_concurrency())
-                   : static_cast<unsigned>(std::max(1, Threads));
-  Workers =
-      std::min<unsigned>(Workers, static_cast<unsigned>(RunInputs.size()));
+  unsigned Workers = std::min<unsigned>(
+      workerCount(Opts.Jobs), static_cast<unsigned>(RunInputs.size()));
 
   {
     JobSystem Pool(Workers, Perturb);

@@ -268,7 +268,6 @@ Client::run(const JobSpec &Spec, const RetryPolicy &Policy,
     if (Sid != 0) {
       Job.Resume = Sid;
       Job.FromDelta = Cursor;
-      Job.Protocol = 2; // resume is a v2 feature
       Job.Corpus.clear();
       Job.Source.clear();
     }

@@ -16,8 +16,8 @@
 ///   else diagnose(R.Error);
 ///
 /// wait() drives the reply stream to its end and returns structured
-/// results: the acceptance, every RunDelta (v2 deltas carry tree and
-/// fitted-curve estimates), the final profile JSON — byte-identical to
+/// results: the acceptance, every RunDelta (with tree and fitted-curve
+/// estimates), the final profile JSON — byte-identical to
 /// the serial CLI — and either a Done summary or a ServiceError that
 /// distinguishes daemon rejections (Code = errc::*) from transport
 /// failures (Transport = true). Used by tools/algoprof_client and the

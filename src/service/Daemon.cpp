@@ -27,11 +27,6 @@ using namespace algoprof::service;
 
 namespace {
 
-unsigned poolWorkers(unsigned Requested) {
-  return Requested == 0 ? std::max(1u, std::thread::hardware_concurrency())
-                        : Requested;
-}
-
 void setRecvTimeout(int Fd, unsigned Ms) {
   struct timeval Tv;
   Tv.tv_sec = Ms / 1000;
@@ -136,7 +131,8 @@ void fetchMax(std::atomic<uint64_t> &Target, uint64_t V) {
 } // namespace
 
 Daemon::Daemon(DaemonOptions O)
-    : Opts(std::move(O)), Pool(poolWorkers(Opts.Workers)) {}
+    : Opts(std::move(O)),
+      Pool(prof::workerCount(static_cast<int>(Opts.Workers))) {}
 
 Daemon::~Daemon() { stop(); }
 
@@ -567,8 +563,7 @@ void Daemon::acceptOn(int Fd, bool Tcp) {
 
 std::string Daemon::applyQuotas(JobRequest &R) const {
   const SessionQuota &Q = Opts.Quota;
-  uint64_t NumRuns =
-      R.Seeds.empty() ? static_cast<uint64_t>(R.Runs) : R.Seeds.size();
+  const uint64_t NumRuns = prof::runCount(R.Seeds, R.Runs);
   if (Q.MaxRuns != 0 && NumRuns > Q.MaxRuns)
     return "job wants " + std::to_string(NumRuns) + " runs, quota is " +
            std::to_string(Q.MaxRuns);
@@ -594,6 +589,47 @@ std::string Daemon::applyQuotas(JobRequest &R) const {
     return "retry attempts " + std::to_string(R.MaxAttempts) +
            " exceed quota " + std::to_string(Q.MaxAttempts);
   return std::string();
+}
+
+std::shared_ptr<const prof::CompiledProgram>
+Daemon::admit(JobRequest &R, resilience::FaultPlan &Faults,
+              const char *&Code, std::string &Msg) {
+  Code = errc::BadRequest;
+  std::string Err;
+  if (!resilience::FaultPlan::parse(R.InjectSpec, Faults, Err)) {
+    Msg = "invalid inject spec: " + Err;
+    return nullptr;
+  }
+  // The budget machinery as admission control.
+  Msg = applyQuotas(R);
+  if (!Msg.empty()) {
+    Code = errc::QuotaExceeded;
+    return nullptr;
+  }
+  const std::string *Source = &R.Source;
+  if (!R.Corpus.empty()) {
+    const programs::CorpusProgram *P = findCorpusProgram(R.Corpus);
+    if (!P) {
+      Msg = "unknown corpus program '" + R.Corpus + "'";
+      return nullptr;
+    }
+    Source = &P->Source;
+  }
+  prof::CompileCache::Result CR = Cache.get(*Source);
+  if (!CR.ok()) {
+    // Errors are answered, not hoarded: purge resolved failures so a
+    // stream of broken submissions cannot pin memory forever (a fixed
+    // resubmission has different content and misses anyway).
+    Code = errc::CompileError;
+    Msg = CR.Error;
+    Cache.invalidateErrors();
+    return nullptr;
+  }
+  if (CR.Program->entryMethod(R.EntryClass, R.EntryMethod) < 0) {
+    Msg = "no static no-arg method " + R.EntryClass + "." + R.EntryMethod;
+    return nullptr;
+  }
+  return CR.Program;
 }
 
 void Daemon::handleSession(Session &S) {
@@ -648,40 +684,13 @@ void Daemon::handleSession(Session &S) {
       return Served;
     }
 
+    // --- Quotas, then the shared content-keyed compile -------------
     resilience::FaultPlan Faults;
-    if (!resilience::FaultPlan::parse(R.InjectSpec, Faults, Err))
-      return reject(Fd, errc::BadRequest, "invalid inject spec: " + Err);
-
-    // --- Quotas: the budget machinery as admission control ----------
-    std::string QErr = applyQuotas(R);
-    if (!QErr.empty())
-      return reject(Fd, errc::QuotaExceeded, QErr);
-    uint64_t NumRuns =
-        R.Seeds.empty() ? static_cast<uint64_t>(R.Runs) : R.Seeds.size();
-
-    // --- Compile (shared, content-keyed) ----------------------------
-    const std::string *Source = &R.Source;
-    if (!R.Corpus.empty()) {
-      const programs::CorpusProgram *P = findCorpusProgram(R.Corpus);
-      if (!P)
-        return reject(Fd, errc::BadRequest,
-                      "unknown corpus program '" + R.Corpus + "'");
-      Source = &P->Source;
-    }
-    prof::CompileCache::Result CR = Cache.get(*Source);
-    if (!CR.ok()) {
-      // Errors are answered, not hoarded: purge resolved failures so a
-      // stream of broken submissions cannot pin memory forever (a
-      // fixed resubmission has different content and misses anyway).
-      reject(Fd, errc::CompileError, CR.Error);
-      Cache.invalidateErrors();
-      return false;
-    }
-    const prof::CompiledProgram &CP = *CR.Program;
-    if (CP.entryMethod(R.EntryClass, R.EntryMethod) < 0)
-      return reject(Fd, errc::BadRequest,
-                    "no static no-arg method " + R.EntryClass + "." +
-                        R.EntryMethod);
+    const char *Code = nullptr;
+    std::shared_ptr<const prof::CompiledProgram> CP =
+        admit(R, Faults, Code, Err);
+    if (!CP)
+      return reject(Fd, Code, Err);
 
     // --- Accepted: journal, then build the session ------------------
     uint64_t Id = NextSessionId.fetch_add(1);
@@ -700,15 +709,14 @@ void Daemon::handleSession(Session &S) {
 
     AcceptedMsg A;
     A.Session = Id;
-    A.Runs = NumRuns;
-    A.Proto = R.Protocol;
+    A.Runs = prof::runCount(R.Seeds, R.Runs);
     // A client gone mid-stream only mutes the stream: the session
     // still runs to completion on the shared pool (its work is
     // already queued; other sessions are unaffected) — and, when
     // journaled, its results are retained for a later resume.
     Buf.send(FrameType::Accepted, encodeAccepted(A));
 
-    runCompiled(CP, R, Faults, Id, NumRuns, R.Protocol >= 2, &Buf);
+    runCompiled(*CP, R, Faults, Id, &Buf);
     foldSendStats(Buf);
     return true;
   }();
@@ -724,7 +732,7 @@ void Daemon::handleSession(Session &S) {
 void Daemon::runCompiled(const prof::CompiledProgram &CP,
                          const JobRequest &R,
                          const resilience::FaultPlan &Faults, uint64_t Id,
-                         uint64_t NumRuns, bool V2, SendBuffer *Buf) {
+                         SendBuffer *Buf) {
   prof::SessionOptions SO;
   SO.Seeds = R.Seeds;
   SO.Runs = R.Runs;
@@ -735,16 +743,9 @@ void Daemon::runCompiled(const prof::CompiledProgram &CP,
   SO.Run.MaxHeapBytes = R.MaxHeapBytes;
   SO.Run.RunDeadlineMs = R.RunDeadlineMs;
 
-  std::vector<vm::IoChannels> RunInputs;
-  if (R.Seeds.empty()) {
-    RunInputs.resize(NumRuns);
-    for (vm::IoChannels &Io : RunInputs)
-      Io.Input = R.Input;
-  } else {
-    RunInputs.resize(R.Seeds.size());
-    for (size_t I = 0; I < R.Seeds.size(); ++I)
-      RunInputs[I].Input.push_back(R.Seeds[I]);
-  }
+  const std::vector<vm::IoChannels> RunInputs =
+      prof::runInputs(R.Seeds, R.Runs, R.Input);
+  const uint64_t NumRuns = RunInputs.size();
 
   const bool Retain = Wal.isOpen();
   std::vector<std::string> RetainedDeltas;
@@ -758,7 +759,7 @@ void Daemon::runCompiled(const prof::CompiledProgram &CP,
   // is safe to read after finishEnqueued(): the merge lock orders
   // every observer call before the final drain's release. Under the
   // same lock the engine's accumulated tree/profiles are stable, which
-  // is what lets v2 deltas refresh the fitted curves per merge.
+  // is what lets every delta refresh the fitted curves per merge.
   Engine.setRunObserver([&](const parallel::RunDelta &D) {
     RunDeltaMsg M;
     M.Run = D.Run;
@@ -769,29 +770,24 @@ void Daemon::runCompiled(const prof::CompiledProgram &CP,
     M.Attempts = D.Attempts;
     M.Quarantined = D.Quarantined;
     M.MergedRuns = D.MergedRuns;
-    if (V2 || Retain) {
-      M.TreeRepetitions = D.TreeRepetitions;
-      M.NewRepetitions = D.TreeRepetitions - LastReps;
-      LastReps = D.TreeRepetitions;
-      for (const prof::AlgorithmProfile &P : Engine.buildProfiles()) {
-        const prof::AlgorithmProfile::InputSeries *PS = P.primarySeries();
-        if (!PS || !PS->Fit.Valid)
-          continue;
-        FitEstimate FE;
-        FE.Label = P.Label;
-        FE.Formula = PS->Fit.formula();
-        M.Fits.push_back(std::move(FE));
-      }
+    M.TreeRepetitions = D.TreeRepetitions;
+    M.NewRepetitions = D.TreeRepetitions - LastReps;
+    LastReps = D.TreeRepetitions;
+    for (const prof::AlgorithmProfile &P : Engine.buildProfiles()) {
+      const prof::AlgorithmProfile::InputSeries *PS = P.primarySeries();
+      if (!PS || !PS->Fit.Valid)
+        continue;
+      FitEstimate FE;
+      FE.Label = P.Label;
+      FE.Formula = PS->Fit.formula();
+      M.Fits.push_back(std::move(FE));
     }
-    if (Retain) {
-      M.V2 = true; // Stored rich: resume is always a v2 stream.
-      RetainedDeltas.push_back(encodeRunDelta(M));
-    }
-    if (Buf && !Buf->gone()) {
-      M.V2 = V2;
-      if (Buf->sendDelta(encodeRunDelta(M)))
-        ++Streamed;
-    }
+    // One encoding serves both the retained copy and the live send.
+    std::string Payload = encodeRunDelta(M);
+    if (Buf && !Buf->gone() && Buf->sendDelta(Payload))
+      ++Streamed;
+    if (Retain)
+      RetainedDeltas.push_back(std::move(Payload));
   });
 
   parallel::SweepResult Sweep;
@@ -841,13 +837,17 @@ void Daemon::runCompiled(const prof::CompiledProgram &CP,
     maybeCompact(/*Force=*/false);
   }
 
-  if (!Buf)
-    return;
+  if (Buf)
+    finishStream(*Buf, Doc, DonePayload, Streamed);
+}
 
-  bool ClientGone = Buf->gone();
+void Daemon::finishStream(SendBuffer &Buf, const std::string &Doc,
+                          const std::string &DonePayload,
+                          uint64_t Streamed) {
+  bool ClientGone = Buf.gone();
   if (!ClientGone)
-    ClientGone = !Buf->send(FrameType::Profile, Doc);
-  uint64_t Bytes = Buf->bytesQueued();
+    ClientGone = !Buf.send(FrameType::Profile, Doc);
+  uint64_t Bytes = Buf.bytesQueued();
   // Completion is counted BEFORE the Done frame goes out: a client
   // that has read Done must already observe this session in stats()
   // and on /metrics (tests poll exactly that edge). The Done frame's
@@ -865,7 +865,7 @@ void Daemon::runCompiled(const prof::CompiledProgram &CP,
     obs::addCount(obs::Counter::DeltasStreamed, Streamed);
   obs::flushThisThread();
   if (!ClientGone)
-    Buf->send(FrameType::Done, DonePayload);
+    Buf.send(FrameType::Done, DonePayload);
 }
 
 void Daemon::replayJob(Session &S) {
@@ -887,32 +887,12 @@ void Daemon::replayJob(Session &S) {
     if (!parseJobRequest(S.ReplayPayload, R, Err) || R.Resume != 0)
       return Fail(errc::BadRequest, "unreplayable journal record: " + Err);
     resilience::FaultPlan Faults;
-    if (!resilience::FaultPlan::parse(R.InjectSpec, Faults, Err))
-      return Fail(errc::BadRequest, "invalid inject spec: " + Err);
-    std::string QErr = applyQuotas(R);
-    if (!QErr.empty())
-      return Fail(errc::QuotaExceeded, QErr);
-    uint64_t NumRuns =
-        R.Seeds.empty() ? static_cast<uint64_t>(R.Runs) : R.Seeds.size();
-    const std::string *Source = &R.Source;
-    if (!R.Corpus.empty()) {
-      const programs::CorpusProgram *P = findCorpusProgram(R.Corpus);
-      if (!P)
-        return Fail(errc::BadRequest,
-                    "unknown corpus program '" + R.Corpus + "'");
-      Source = &P->Source;
-    }
-    prof::CompileCache::Result CR = Cache.get(*Source);
-    if (!CR.ok()) {
-      Fail(errc::CompileError, CR.Error);
-      Cache.invalidateErrors();
-      return;
-    }
-    const prof::CompiledProgram &CP = *CR.Program;
-    if (CP.entryMethod(R.EntryClass, R.EntryMethod) < 0)
-      return Fail(errc::BadRequest, "no static no-arg method " +
-                                        R.EntryClass + "." + R.EntryMethod);
-    runCompiled(CP, R, Faults, S.ReplayId, NumRuns, true, nullptr);
+    const char *Code = nullptr;
+    std::shared_ptr<const prof::CompiledProgram> CP =
+        admit(R, Faults, Code, Err);
+    if (!CP)
+      return Fail(Code, Err);
+    runCompiled(*CP, R, Faults, S.ReplayId, nullptr);
   }();
 
   obs::flushThisThread();
@@ -975,7 +955,6 @@ bool Daemon::serveResume(SendBuffer &Buf, uint64_t Id, uint64_t FromDelta) {
   AcceptedMsg A;
   A.Session = Id;
   A.Runs = Copy.Runs;
-  A.Proto = 2;
   A.Resumed = true;
   A.ResumedFrom = FromDelta;
   Buf.send(FrameType::Accepted, encodeAccepted(A));
@@ -990,22 +969,7 @@ bool Daemon::serveResume(SendBuffer &Buf, uint64_t Id, uint64_t FromDelta) {
       ++Streamed;
   }
 
-  bool ClientGone = Buf.gone();
-  if (!ClientGone)
-    ClientGone = !Buf.send(FrameType::Profile, Copy.ProfileJson);
-  uint64_t Bytes = Buf.bytesQueued();
-  if (!ClientGone)
-    Bytes += encodeFrame(FrameType::Done, Copy.DonePayload).size();
-  StatCompleted.fetch_add(1);
-  StatBytes.fetch_add(Bytes);
-  StatDeltasStreamed.fetch_add(Streamed);
-  obs::addCount(obs::Counter::SessionsCompleted);
-  obs::addCount(obs::Counter::BytesStreamed, Bytes);
-  if (Streamed > 0)
-    obs::addCount(obs::Counter::DeltasStreamed, Streamed);
-  obs::flushThisThread();
-  if (!ClientGone)
-    Buf.send(FrameType::Done, Copy.DonePayload);
+  finishStream(Buf, Copy.ProfileJson, Copy.DonePayload, Streamed);
   return true;
 }
 

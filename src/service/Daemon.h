@@ -7,9 +7,9 @@
 /// onto ONE shared work-stealing pool. Each accepted session compiles
 /// through the shared prof::CompileCache, enqueues its runs via
 /// parallel::SweepEngine::enqueueSweep, streams a RunDelta frame as
-/// each run merges — strictly in run-index order; under wire v2 the
-/// deltas also carry incremental repetition-tree counts and refreshed
-/// fitted-curve estimates — and finishes with the complete
+/// each run merges — strictly in run-index order, carrying run status,
+/// incremental repetition-tree counts and refreshed fitted-curve
+/// estimates — and finishes with the complete
 /// algoprof-profile/2 JSON, byte-identical to what the serial CLI
 /// prints for the same program + seeds (the sweep engine's determinism
 /// guarantee, now load-bearing for a service).
@@ -231,7 +231,7 @@ private:
   };
 
   /// Everything needed to re-stream a journaled session to a resuming
-  /// client. Delta payloads are stored v2-encoded; the final document
+  /// client. Delta payloads are stored as encoded; the final document
   /// is the byte-exact Profile frame payload.
   struct Retained {
     bool Done = false;
@@ -260,10 +260,13 @@ private:
   /// The shared execution path for live and replayed jobs: runs \p R
   /// against \p CP on the shared pool, streaming through \p Buf (null
   /// for replay) and retaining results under \p Id when journaling.
-  /// \p V2 selects rich deltas on the wire.
   void runCompiled(const prof::CompiledProgram &CP, const JobRequest &R,
                    const resilience::FaultPlan &Faults, uint64_t Id,
-                   uint64_t NumRuns, bool V2, SendBuffer *Buf);
+                   SendBuffer *Buf);
+  /// The end of every stream, live or resumed: the Profile frame, the
+  /// completion stats, then the Done frame.
+  void finishStream(SendBuffer &Buf, const std::string &Doc,
+                    const std::string &DonePayload, uint64_t Streamed);
   /// Streams a retained session's results to a resuming client,
   /// skipping the first \p FromDelta delta payloads (the cursor).
   bool serveResume(SendBuffer &Buf, uint64_t Id, uint64_t FromDelta);
@@ -283,6 +286,13 @@ private:
                     std::string DonePayload);
   /// Compacts the journal when forced or past the size threshold.
   void maybeCompact(bool Force);
+  /// Admission shared by live and replayed jobs: the fault plan, the
+  /// quotas (applied to \p R in place), the corpus lookup, the shared
+  /// compile and the entry point. On rejection returns null with an
+  /// errc::* code in \p Code and the reason in \p Msg.
+  std::shared_ptr<const prof::CompiledProgram>
+  admit(JobRequest &R, resilience::FaultPlan &Faults, const char *&Code,
+        std::string &Msg);
   /// Applies quotas to \p R in place (clamping unlimited requests).
   /// Returns a non-empty rejection message when a cap is exceeded.
   std::string applyQuotas(JobRequest &R) const;

@@ -14,7 +14,6 @@
 using namespace algoprof;
 using namespace algoprof::service;
 
-const char algoprof::service::ProtocolVersion[] = "algoprof-job/1";
 const char algoprof::service::ProtocolVersionV2[] = "algoprof-wire/2";
 
 const char *service::frameTypeName(FrameType T) {
@@ -190,7 +189,7 @@ ReadStatus service::readFrame(int Fd, Frame &Out, size_t MaxPayload) {
 
 std::string service::encodeJobRequest(const JobRequest &R) {
   std::string S;
-  S += R.Protocol >= 2 ? ProtocolVersionV2 : ProtocolVersion;
+  S += ProtocolVersionV2;
   S += '\n';
   if (!R.Auth.empty())
     appendLine(S, "auth", R.Auth);
@@ -234,18 +233,13 @@ bool service::parseJobRequest(const std::string &Payload, JobRequest &Out,
   Out = JobRequest();
   size_t FirstNl = Payload.find('\n');
   if (FirstNl == std::string::npos) {
-    Err = std::string("expected version line '") + ProtocolVersionV2 +
-          "' or '" + ProtocolVersion + "'";
+    Err = std::string("expected version line '") + ProtocolVersionV2 + "'";
     return false;
   }
   std::string Version = Payload.substr(0, FirstNl);
-  if (Version == ProtocolVersionV2) {
-    Out.Protocol = 2;
-  } else if (Version == ProtocolVersion) {
-    Out.Protocol = 1;
-  } else {
+  if (Version != ProtocolVersionV2) {
     Err = "unsupported protocol '" + Version + "' (supported: " +
-          ProtocolVersionV2 + ", " + ProtocolVersion + ")";
+          ProtocolVersionV2 + ")";
     return false;
   }
   size_t Pos = FirstNl + 1;
@@ -269,19 +263,11 @@ bool service::parseJobRequest(const std::string &Payload, JobRequest &Out,
     if (Key == "auth") {
       Out.Auth = Val;
     } else if (Key == "resume") {
-      if (Out.Protocol < 2) {
-        Err = std::string("resume requires ") + ProtocolVersionV2;
-        return false;
-      }
       if (!parseU64(Val, Out.Resume) || Out.Resume == 0) {
         Err = "invalid resume session id '" + Val + "'";
         return false;
       }
     } else if (Key == "from-delta") {
-      if (Out.Protocol < 2) {
-        Err = std::string("from-delta requires ") + ProtocolVersionV2;
-        return false;
-      }
       if (!parseU64(Val, Out.FromDelta)) {
         Err = "invalid from-delta cursor '" + Val + "'";
         return false;
@@ -374,7 +360,7 @@ std::string service::encodeAccepted(const AcceptedMsg &M) {
   std::string S;
   appendLine(S, "session", M.Session);
   appendLine(S, "runs", M.Runs);
-  appendLine(S, "proto", static_cast<uint64_t>(M.Proto));
+  appendLine(S, "proto", std::string("2"));
   if (M.Resumed) {
     appendLine(S, "resumed", std::string("1"));
     appendLine(S, "resumed-from", M.ResumedFrom);
@@ -394,11 +380,6 @@ bool service::parseAccepted(const std::string &Payload, AcceptedMsg &Out) {
     } else if (P.first == "runs") {
       if (!parseU64(P.second, Out.Runs))
         return false;
-    } else if (P.first == "proto") {
-      uint64_t V;
-      if (!parseU64(P.second, V))
-        return false;
-      Out.Proto = static_cast<int>(V);
     } else if (P.first == "resumed") {
       Out.Resumed = P.second == "1";
     } else if (P.first == "resumed-from") {
@@ -419,13 +400,11 @@ std::string service::encodeRunDelta(const RunDeltaMsg &M) {
   appendLine(S, "attempts", std::to_string(M.Attempts));
   appendLine(S, "quarantined", std::string(M.Quarantined ? "1" : "0"));
   appendLine(S, "merged-runs", std::to_string(M.MergedRuns));
-  if (M.V2) {
-    appendLine(S, "tree-repetitions", std::to_string(M.TreeRepetitions));
-    appendLine(S, "new-repetitions", std::to_string(M.NewRepetitions));
-    // Labels may contain any character but tab/newline; tab separates.
-    for (const FitEstimate &F : M.Fits)
-      appendLine(S, "fit", F.Label + '\t' + F.Formula);
-  }
+  appendLine(S, "tree-repetitions", std::to_string(M.TreeRepetitions));
+  appendLine(S, "new-repetitions", std::to_string(M.NewRepetitions));
+  // Labels may contain any character but tab/newline; tab separates.
+  for (const FitEstimate &F : M.Fits)
+    appendLine(S, "fit", F.Label + '\t' + F.Formula);
   return S;
 }
 
@@ -461,11 +440,9 @@ bool service::parseRunDelta(const std::string &Payload, RunDeltaMsg &Out) {
     } else if (P.first == "tree-repetitions") {
       if (!parseI64(P.second, Out.TreeRepetitions))
         return false;
-      Out.V2 = true;
     } else if (P.first == "new-repetitions") {
       if (!parseI64(P.second, Out.NewRepetitions))
         return false;
-      Out.V2 = true;
     } else if (P.first == "fit") {
       size_t Tab = P.second.find('\t');
       if (Tab == std::string::npos)
@@ -474,7 +451,6 @@ bool service::parseRunDelta(const std::string &Payload, RunDeltaMsg &Out) {
       F.Label = P.second.substr(0, Tab);
       F.Formula = P.second.substr(Tab + 1);
       Out.Fits.push_back(std::move(F));
-      Out.V2 = true;
     }
   }
   return true;

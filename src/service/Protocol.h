@@ -41,13 +41,9 @@
 namespace algoprof {
 namespace service {
 
-/// Protocol identifiers; the first line of every Job payload names the
-/// wire version the client speaks, and the daemon answers in kind (the
-/// negotiated version is echoed in the Accepted frame's `proto=` line).
-/// v1 streams status-only RunDeltas; v2 deltas additionally carry
-/// incremental repetition-tree counts and refreshed fitted-curve
-/// estimates, and unlock session resume (`resume=`).
-extern const char ProtocolVersion[];   // "algoprof-job/1"  (legacy, v1)
+/// The wire version: the first line of every Job payload. The daemon
+/// speaks this one version and rejects any other line bad-request; the
+/// Accepted frame echoes it as a constant `proto=2` line.
 extern const char ProtocolVersionV2[]; // "algoprof-wire/2"
 
 enum class FrameType : uint8_t {
@@ -115,15 +111,12 @@ ReadStatus readFrame(int Fd, Frame &Out, size_t MaxPayload);
 /// payload mirrors the CLI surface (docs/service.md lists every key);
 /// exactly one of Corpus / Source / Resume must be set.
 struct JobRequest {
-  /// Negotiated wire version: 2 emits the `algoprof-wire/2` version
-  /// line (tree/fit deltas, resume); 1 the legacy `algoprof-job/1`.
-  int Protocol = 2;
   /// Auth token (`auth=` line). Required on TCP transports; ignored on
   /// the Unix socket, where filesystem permissions gate access.
   std::string Auth;
   /// Non-zero: instead of running anything, re-stream session \p Resume
   /// (deltas + final profile, byte-identical) from the daemon's
-  /// journal-backed result store. v2 only.
+  /// journal-backed result store.
   uint64_t Resume = 0;
   /// Resume cursor (`from-delta=`): the number of deltas this client
   /// already observed. The daemon re-streams deltas k..n only, so a
@@ -158,11 +151,11 @@ bool parseJobRequest(const std::string &Payload, JobRequest &Out,
 // Streamed responses
 //===----------------------------------------------------------------------===//
 
-/// Accepted payload.
+/// Accepted payload. Every Accepted frame carries a constant `proto=2`
+/// line; the parser ignores it.
 struct AcceptedMsg {
   uint64_t Session = 0; ///< Daemon-assigned session id.
   uint64_t Runs = 0;    ///< Total runs the stream will cover.
-  int Proto = 1;        ///< Negotiated wire version (echo).
   bool Resumed = false; ///< Stream replays a stored session's results.
   /// Resumed streams echo the request's delta cursor (`resumed-from=`):
   /// how many deltas are being skipped because the client saw them.
@@ -171,7 +164,7 @@ struct AcceptedMsg {
 std::string encodeAccepted(const AcceptedMsg &M);
 bool parseAccepted(const std::string &Payload, AcceptedMsg &Out);
 
-/// A refreshed fitted-curve estimate carried by a v2 RunDelta: the
+/// A refreshed fitted-curve estimate carried by a RunDelta: the
 /// fitter re-run over the profile prefix merged so far.
 struct FitEstimate {
   std::string Label;   ///< Algorithm label (grouping output).
@@ -179,7 +172,7 @@ struct FitEstimate {
 };
 
 /// RunDelta payload: one completed (merged or quarantined) run. The
-/// v2 fields describe the accumulated profile the moment this run
+/// tree/fit fields describe the accumulated profile the moment this run
 /// merged; they are advisory (a slow client may never see some deltas)
 /// — the final Profile frame alone is authoritative.
 struct RunDeltaMsg {
@@ -191,7 +184,6 @@ struct RunDeltaMsg {
   int Attempts = 1;
   bool Quarantined = false;
   int64_t MergedRuns = 0;
-  bool V2 = false; ///< The tree/fit fields below are present.
   int64_t TreeRepetitions = 0; ///< Accumulated tree repetitions.
   int64_t NewRepetitions = 0;  ///< Added by this run's merge.
   std::vector<FitEstimate> Fits; ///< One per algorithm with a fit.

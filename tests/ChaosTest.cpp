@@ -9,20 +9,21 @@
 // proxy schedules: journal fuzzing (bit flips, duplicate C records,
 // oversized lengths), crash-state restarts with delta cursors,
 // retained-result eviction (byte budget and TTL on an injected
-// clock), graceful drain, and the /healthz + /readyz endpoints.
+// clock), graceful drain (alone and under load: concurrent sessions,
+// journal compaction and metrics scrapes), and the /healthz + /readyz
+// endpoints.
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/Session.h"
-#include "programs/Programs.h"
-#include "report/Reporter.h"
 #include "service/Client.h"
 #include "service/Daemon.h"
 #include "service/Journal.h"
-#include "support/Diagnostics.h"
 
+#include "ServiceTestUtil.h"
 #include "gtest/gtest.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -40,21 +41,9 @@
 
 using namespace algoprof;
 using namespace algoprof::service;
+using namespace algoprof::testutil;
 
 namespace {
-
-std::string chaosSocketPath() {
-  static std::atomic<int> Counter{0};
-  return "/tmp/algoprof-chaos-" + std::to_string(::getpid()) + "-" +
-         std::to_string(Counter.fetch_add(1)) + ".sock";
-}
-
-std::string chaosScratchPath(const char *Tag) {
-  static std::atomic<int> Counter{0};
-  return std::string("/tmp/algoprof-chaos-") + Tag + "-" +
-         std::to_string(::getpid()) + "-" +
-         std::to_string(Counter.fetch_add(1));
-}
 
 /// Deterministic per-schedule randomness (xorshift64): the whole fault
 /// schedule derives from one seed, so a failing schedule replays.
@@ -69,55 +58,6 @@ struct Rng {
   }
   uint64_t range(uint64_t N) { return N ? next() % N : 0; }
 };
-
-const std::string &corpusSource(const std::string &Name) {
-  for (const programs::CorpusProgram &P : programs::corpusPrograms())
-    if (P.Name == Name)
-      return P.Source;
-  ADD_FAILURE() << "no corpus program " << Name;
-  static std::string Empty;
-  return Empty;
-}
-
-/// The serial CLI's bytes for the same program + options; the daemon
-/// must reproduce them through any number of recoveries.
-std::string serialReferenceJson(const std::string &Source,
-                                prof::SessionOptions SO) {
-  DiagnosticEngine Diags;
-  std::unique_ptr<prof::CompiledProgram> CP =
-      prof::compileMiniJ(Source, Diags);
-  EXPECT_TRUE(CP) << Diags.str();
-  SO.Jobs = 1;
-  prof::ProfileDriver Driver(*CP, SO);
-  Driver.runAll("Main", "main");
-  std::vector<prof::AlgorithmProfile> Profiles = Driver.buildProfiles();
-  report::ReportInput RI{&Driver.tree(), &Driver.inputs(), &Profiles,
-                         &Driver.failures()};
-  return report::Registry::builtin().find("json")->render(RI);
-}
-
-std::string httpGet(int Port, const std::string &Path) {
-  int Fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (Fd < 0)
-    return "";
-  sockaddr_in Addr{};
-  Addr.sin_family = AF_INET;
-  Addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  Addr.sin_port = htons(static_cast<uint16_t>(Port));
-  if (::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) < 0) {
-    ::close(Fd);
-    return "";
-  }
-  std::string Req = "GET " + Path + " HTTP/1.1\r\nHost: localhost\r\n\r\n";
-  (void)!::send(Fd, Req.data(), Req.size(), MSG_NOSIGNAL);
-  std::string Resp;
-  char Buf[4096];
-  ssize_t R;
-  while ((R = ::recv(Fd, Buf, sizeof(Buf), 0)) > 0)
-    Resp.append(Buf, static_cast<size_t>(R));
-  ::close(Fd);
-  return Resp;
-}
 
 bool writeAll(int Fd, const char *P, size_t N) {
   while (N > 0) {
@@ -156,7 +96,7 @@ class ChaosProxy {
 public:
   ChaosProxy(std::string BackendPath, std::vector<ConnPlan> Plans)
       : Backend(std::move(BackendPath)), Plans(std::move(Plans)),
-        Path(chaosSocketPath()) {}
+        Path(testSocketPath()) {}
 
   ~ChaosProxy() { stop(); }
 
@@ -301,22 +241,6 @@ private:
   std::vector<std::thread> Pumps;
 };
 
-struct DaemonFixture {
-  DaemonOptions Opts;
-  std::unique_ptr<Daemon> D;
-
-  explicit DaemonFixture(DaemonOptions O = DaemonOptions()) {
-    Opts = std::move(O);
-    if (Opts.SocketPath.empty())
-      Opts.SocketPath = chaosSocketPath();
-    if (Opts.Workers == 0)
-      Opts.Workers = 2;
-    D = std::make_unique<Daemon>(Opts);
-    std::string Err;
-    EXPECT_TRUE(D->start(Err)) << Err;
-  }
-};
-
 /// A retry policy tuned for tests: plenty of reconnects, real socket
 /// deadlines, but no wall-clock backoff (the schedules are already
 /// deterministic; sleeping would only slow the suite).
@@ -335,10 +259,8 @@ RetryPolicy testRetryPolicy(uint64_t Seed) {
 /// in order — the no-delta-twice, no-delta-lost invariant.
 void expectExactDeltaStream(const TypedResult &R, size_t N) {
   ASSERT_EQ(N, R.Deltas.size());
-  for (size_t I = 0; I < N; ++I) {
+  for (size_t I = 0; I < N; ++I)
     EXPECT_EQ(static_cast<int64_t>(I), R.Deltas[I].Run);
-    EXPECT_TRUE(R.Deltas[I].V2);
-  }
 }
 
 uint64_t fileSize(const std::string &Path) {
@@ -358,7 +280,7 @@ uint64_t fileSize(const std::string &Path) {
 //===----------------------------------------------------------------------===//
 
 TEST(ChaosService, FiftySeededFaultSchedulesRecoverByteIdentical) {
-  std::string JournalPath = chaosScratchPath("journal");
+  std::string JournalPath = testScratchPath("journal");
   DaemonOptions O;
   O.JournalPath = JournalPath;
   O.CompactBytes = 2048; // Aggressive: every few sessions rotate the WAL.
@@ -445,7 +367,7 @@ TEST(ChaosService, SeededCrashRestartsResumeFromCursor) {
   for (int Round = 0; Round < 8; ++Round) {
     SCOPED_TRACE("round " + std::to_string(Round));
     Rng R(0xD15EA5Eu + static_cast<uint64_t>(Round) * 7919u);
-    std::string JournalPath = chaosScratchPath("crash");
+    std::string JournalPath = testScratchPath("crash");
 
     // The crash state: a job accepted (A record, no C) by a daemon
     // that died at the journal checkpoint.
@@ -467,8 +389,7 @@ TEST(ChaosService, SeededCrashRestartsResumeFromCursor) {
     JobSpec Rs;
     Rs.Resume = Id;
     Rs.FromDelta = K;
-    TypedResult Res =
-        Client::unixSocket(F.Opts.SocketPath).submit(Rs).wait();
+    TypedResult Res = runTyped(F.Opts.SocketPath, Rs);
     ASSERT_TRUE(Res.Ok) << Res.Error.Code << ": " << Res.Error.Message;
     EXPECT_TRUE(Res.Acceptance.Resumed);
     EXPECT_EQ(K, Res.Acceptance.ResumedFrom);
@@ -483,7 +404,7 @@ TEST(ChaosService, SeededCrashRestartsResumeFromCursor) {
 }
 
 TEST(ChaosService, CursorPastTheRetainedCountIsRejected) {
-  std::string JournalPath = chaosScratchPath("cursor");
+  std::string JournalPath = testScratchPath("cursor");
   DaemonOptions O;
   O.JournalPath = JournalPath;
   DaemonFixture F(std::move(O));
@@ -491,22 +412,20 @@ TEST(ChaosService, CursorPastTheRetainedCountIsRejected) {
   JobSpec Job;
   Job.Corpus = "seeded_insertion_sort_random";
   Job.Seeds = {4, 8};
-  TypedResult First =
-      Client::unixSocket(F.Opts.SocketPath).submit(Job).wait();
+  TypedResult First = runTyped(F.Opts.SocketPath, Job);
   ASSERT_TRUE(First.Ok) << First.Error.Code << ": " << First.Error.Message;
 
   JobSpec Rs;
   Rs.Resume = First.Acceptance.Session;
   Rs.FromDelta = 3; // Only 2 deltas retained.
-  TypedResult R = Client::unixSocket(F.Opts.SocketPath).submit(Rs).wait();
+  TypedResult R = runTyped(F.Opts.SocketPath, Rs);
   EXPECT_FALSE(R.Ok);
   EXPECT_EQ(errc::BadRequest, R.Error.Code);
 
   // from-delta == retained count is valid: an empty tail, then the
   // document — the degenerate "I saw everything, give me the profile".
   Rs.FromDelta = 2;
-  TypedResult Tail =
-      Client::unixSocket(F.Opts.SocketPath).submit(Rs).wait();
+  TypedResult Tail = runTyped(F.Opts.SocketPath, Rs);
   ASSERT_TRUE(Tail.Ok) << Tail.Error.Code << ": " << Tail.Error.Message;
   EXPECT_EQ(0u, Tail.Deltas.size());
   EXPECT_EQ(2u, Tail.Acceptance.ResumedFrom);
@@ -525,7 +444,7 @@ TEST(ChaosJournal, FuzzedLogsNeverCrashAndSalvageTheValidPrefix) {
   Base += "C 1\n";
   Base += "A 3 3\nabc\n";
 
-  std::string Path = chaosScratchPath("fuzz");
+  std::string Path = testScratchPath("fuzz");
   auto WriteAndLoad = [&](const std::string &Data, Journal::LoadResult &LR) {
     std::FILE *F = std::fopen(Path.c_str(), "wb");
     ASSERT_NE(nullptr, F);
@@ -610,7 +529,7 @@ TEST(ChaosJournal, IsOpenIsRaceFreeDuringCompaction) {
   // replay or maintenance thread compacts, which swaps the append fd.
   // Under ThreadSanitizer (tsan_parallel) an unsynchronized fd made
   // the daemon's SIGTERM drain exit 66 in service_restart.
-  std::string Path = chaosScratchPath("isopen");
+  std::string Path = testScratchPath("isopen");
   Journal J;
   std::string Err;
   ASSERT_TRUE(J.open(Path, Err)) << Err;
@@ -630,7 +549,7 @@ TEST(ChaosJournal, IsOpenIsRaceFreeDuringCompaction) {
 }
 
 TEST(ChaosJournal, CompactionKeepsPendingDropsCompletedPreservesMaxId) {
-  std::string Path = chaosScratchPath("compact");
+  std::string Path = testScratchPath("compact");
   Journal J;
   std::string Err;
   ASSERT_TRUE(J.open(Path, Err)) << Err;
@@ -683,12 +602,11 @@ TEST(ChaosEviction, ByteBudgetEvictsOldestCompletedFirst) {
   // one session: storing the second must evict the first.
   uint64_t EntryBytes = 0;
   {
-    std::string JP = chaosScratchPath("measure");
+    std::string JP = testScratchPath("measure");
     DaemonOptions O;
     O.JournalPath = JP;
     DaemonFixture F(std::move(O));
-    TypedResult R =
-        Client::unixSocket(F.Opts.SocketPath).submit(Job).wait();
+    TypedResult R = runTyped(F.Opts.SocketPath, Job);
     ASSERT_TRUE(R.Ok) << R.Error.Code << ": " << R.Error.Message;
     EntryBytes = R.ProfileJson.size() + encodeDone(R.Summary).size();
     for (const RunDeltaMsg &D : R.Deltas)
@@ -697,28 +615,28 @@ TEST(ChaosEviction, ByteBudgetEvictsOldestCompletedFirst) {
   }
   ASSERT_GT(EntryBytes, 0u);
 
-  std::string JournalPath = chaosScratchPath("evict");
+  std::string JournalPath = testScratchPath("evict");
   DaemonOptions O;
   O.JournalPath = JournalPath;
   O.RetainBytes = EntryBytes; // Room for one completed session.
   DaemonFixture F(std::move(O));
 
-  TypedResult A = Client::unixSocket(F.Opts.SocketPath).submit(Job).wait();
+  TypedResult A = runTyped(F.Opts.SocketPath, Job);
   ASSERT_TRUE(A.Ok) << A.Error.Code << ": " << A.Error.Message;
-  TypedResult B = Client::unixSocket(F.Opts.SocketPath).submit(Job).wait();
+  TypedResult B = runTyped(F.Opts.SocketPath, Job);
   ASSERT_TRUE(B.Ok) << B.Error.Code << ": " << B.Error.Message;
 
   // The oldest (A) was evicted to admit B; its tombstone answers
   // resume with the dedicated code, not unknown-session, not a hang.
   JobSpec Rs;
   Rs.Resume = A.Acceptance.Session;
-  TypedResult RA = Client::unixSocket(F.Opts.SocketPath).submit(Rs).wait();
+  TypedResult RA = runTyped(F.Opts.SocketPath, Rs);
   EXPECT_FALSE(RA.Ok);
   EXPECT_EQ(errc::ResultEvicted, RA.Error.Code);
   EXPECT_FALSE(RA.Error.Transport);
 
   Rs.Resume = B.Acceptance.Session;
-  TypedResult RB = Client::unixSocket(F.Opts.SocketPath).submit(Rs).wait();
+  TypedResult RB = runTyped(F.Opts.SocketPath, Rs);
   ASSERT_TRUE(RB.Ok) << RB.Error.Code << ": " << RB.Error.Message;
   EXPECT_EQ(B.ProfileJson, RB.ProfileJson);
 
@@ -729,7 +647,7 @@ TEST(ChaosEviction, ByteBudgetEvictsOldestCompletedFirst) {
 TEST(ChaosEviction, TtlEvictsOnTheInjectedClock) {
   std::shared_ptr<std::atomic<uint64_t>> Clock =
       std::make_shared<std::atomic<uint64_t>>(1000);
-  std::string JournalPath = chaosScratchPath("ttl");
+  std::string JournalPath = testScratchPath("ttl");
   DaemonOptions O;
   O.JournalPath = JournalPath;
   O.RetainSecs = 10;
@@ -739,14 +657,13 @@ TEST(ChaosEviction, TtlEvictsOnTheInjectedClock) {
   JobSpec Job;
   Job.Corpus = "seeded_insertion_sort_random";
   Job.Seeds = {4, 8};
-  TypedResult R = Client::unixSocket(F.Opts.SocketPath).submit(Job).wait();
+  TypedResult R = runTyped(F.Opts.SocketPath, Job);
   ASSERT_TRUE(R.Ok) << R.Error.Code << ": " << R.Error.Message;
 
   // Inside the TTL the session resumes normally.
   JobSpec Rs;
   Rs.Resume = R.Acceptance.Session;
-  TypedResult Fresh =
-      Client::unixSocket(F.Opts.SocketPath).submit(Rs).wait();
+  TypedResult Fresh = runTyped(F.Opts.SocketPath, Rs);
   ASSERT_TRUE(Fresh.Ok) << Fresh.Error.Code << ": " << Fresh.Error.Message;
   EXPECT_EQ(R.ProfileJson, Fresh.ProfileJson);
 
@@ -754,8 +671,7 @@ TEST(ChaosEviction, TtlEvictsOnTheInjectedClock) {
   // (eviction happens on access or on the maintenance tick, whichever
   // comes first — both are exercised across test runs).
   Clock->fetch_add(11'000);
-  TypedResult Stale =
-      Client::unixSocket(F.Opts.SocketPath).submit(Rs).wait();
+  TypedResult Stale = runTyped(F.Opts.SocketPath, Rs);
   EXPECT_FALSE(Stale.Ok);
   EXPECT_EQ(errc::ResultEvicted, Stale.Error.Code);
   EXPECT_GE(F.D->stats().ResultsEvicted, 1u);
@@ -767,7 +683,7 @@ TEST(ChaosEviction, TtlEvictsOnTheInjectedClock) {
 //===----------------------------------------------------------------------===//
 
 TEST(ChaosDrain, FinishesInFlightSessionsThenRefusesNewOnes) {
-  std::string JournalPath = chaosScratchPath("drain");
+  std::string JournalPath = testScratchPath("drain");
   DaemonOptions O;
   O.JournalPath = JournalPath;
   DaemonFixture F(std::move(O));
@@ -784,13 +700,9 @@ TEST(ChaosDrain, FinishesInFlightSessionsThenRefusesNewOnes) {
   // stream — deltas, byte-identical profile, Done — not be cut off.
   TypedResult R;
   std::thread ClientT([&] {
-    R = Client::unixSocket(F.Opts.SocketPath).submit(Job).wait();
+    R = runTyped(F.Opts.SocketPath, Job);
   });
-  for (int Waited = 0; Waited < 20000; Waited += 5) {
-    if (F.D->stats().Accepted >= 1)
-      break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
+  pollFor([&] { return F.D->stats().Accepted >= 1; });
   EXPECT_TRUE(F.D->drain(20000));
   ClientT.join();
   ASSERT_TRUE(R.Ok) << R.Error.Code << ": " << R.Error.Message;
@@ -800,12 +712,104 @@ TEST(ChaosDrain, FinishesInFlightSessionsThenRefusesNewOnes) {
 
   // Drained means no longer accepting: a new connection cannot reach
   // the daemon.
-  TypedResult After =
-      Client::unixSocket(F.Opts.SocketPath).submit(Job).wait();
+  TypedResult After = runTyped(F.Opts.SocketPath, Job);
   EXPECT_FALSE(After.Ok);
   EXPECT_TRUE(After.Error.Transport);
 
   F.D->stop(); // Idempotent after a full drain; nothing left to force.
+  std::remove(JournalPath.c_str());
+}
+
+TEST(ChaosDrain, UnderLoadEverySessionCompletesOrStaysResumable) {
+  // Drain while everything that shares state with it is busy: many
+  // sessions streaming from the shared pool, the maintenance thread
+  // compacting the journal every tick, and a scraper reading /metrics
+  // and stats(). Run under tsan_parallel, this is the load test for
+  // the SIGTERM drain path.
+  std::string JournalPath = testScratchPath("drain-load");
+  DaemonOptions O;
+  O.JournalPath = JournalPath;
+  O.CompactBytes = 256;
+  O.CompactIntervalMs = 1; // Every maintenance tick compacts.
+  O.MetricsPort = 0;
+  DaemonFixture F(std::move(O));
+  int Port = F.D->metricsPort();
+  ASSERT_GT(Port, 0);
+
+  // Sizes large enough that the whole batch outlasts several 50 ms
+  // maintenance ticks, so the sessions are still streaming at drain().
+  const std::vector<std::vector<int64_t>> SeedGrids = {
+      {40, 80, 120, 160, 200, 240, 280, 320},
+      {60, 100, 140, 180, 220, 260, 300, 340}};
+  const std::string Corpus = "seeded_insertion_sort_random";
+  std::vector<std::string> References;
+  for (const std::vector<int64_t> &Seeds : SeedGrids) {
+    prof::SessionOptions SO;
+    SO.Seeds = Seeds;
+    References.push_back(serialReferenceJson(corpusSource(Corpus), SO));
+  }
+
+  std::atomic<bool> StopScrape{false};
+  std::atomic<int> Scrapes{0};
+  std::thread Scraper([&] {
+    while (!StopScrape.load()) {
+      httpGet(Port, "/metrics");
+      F.D->stats();
+      Scrapes.fetch_add(1);
+    }
+  });
+
+  constexpr size_t NumSessions = 10;
+  std::vector<TypedResult> Results(NumSessions);
+  std::vector<std::thread> Clients;
+  for (size_t I = 0; I < NumSessions; ++I)
+    Clients.emplace_back([&, I] {
+      JobSpec Job;
+      Job.Corpus = Corpus;
+      Job.Seeds = SeedGrids[I % SeedGrids.size()];
+      Results[I] = runTyped(F.Opts.SocketPath, Job);
+    });
+  pollFor([&] { return F.D->stats().Accepted >= NumSessions; }, 60000);
+  Daemon::Stats AtDrain = F.D->stats();
+  EXPECT_EQ(NumSessions, AtDrain.Accepted);
+  EXPECT_GE(AtDrain.Accepted - AtDrain.Completed, 8u)
+      << "the batch finished before drain(); it no longer tests load";
+
+  EXPECT_TRUE(F.D->drain(120000));
+  for (std::thread &T : Clients)
+    T.join();
+  // Let the scraper race the drained daemon a little longer: stats()
+  // and /metrics must stay safe after the sessions are reaped.
+  int ScrapesAtDrain = Scrapes.load();
+  pollFor([&] { return Scrapes.load() >= ScrapesAtDrain + 3; }, 2000);
+  StopScrape.store(true);
+  Scraper.join();
+  EXPECT_GT(Scrapes.load(), 0);
+  EXPECT_GT(F.D->stats().Compactions, 0u);
+  F.D->stop();
+
+  // Every accepted session either finished byte-identically or is
+  // still pending in the journal, which a restarted daemon replays
+  // (ServiceDaemon.ReplaysJournaledJobAndServesByteIdenticalResume).
+  Journal::LoadResult LR;
+  std::string Err;
+  ASSERT_TRUE(Journal::load(JournalPath, LR, Err)) << Err;
+  for (size_t I = 0; I < NumSessions; ++I) {
+    SCOPED_TRACE("session " + std::to_string(I));
+    const TypedResult &R = Results[I];
+    ASSERT_TRUE(R.Accepted) << R.Error.Code << ": " << R.Error.Message;
+    if (R.Ok) {
+      expectExactDeltaStream(R, 8);
+      EXPECT_EQ(References[I % SeedGrids.size()], R.ProfileJson);
+    } else {
+      EXPECT_TRUE(std::any_of(LR.Pending.begin(), LR.Pending.end(),
+                              [&](const Journal::PendingJob &P) {
+                                return P.Id == R.Acceptance.Session;
+                              }))
+          << "session " << R.Acceptance.Session
+          << " neither completed nor stayed resumable";
+    }
+  }
   std::remove(JournalPath.c_str());
 }
 
@@ -814,7 +818,7 @@ TEST(ChaosDrain, FinishesInFlightSessionsThenRefusesNewOnes) {
 //===----------------------------------------------------------------------===//
 
 TEST(ChaosHealth, HealthzAndReadyzTrackDaemonState) {
-  std::string JournalPath = chaosScratchPath("health");
+  std::string JournalPath = testScratchPath("health");
   DaemonOptions O;
   O.JournalPath = JournalPath;
   O.MetricsPort = 0;

@@ -281,14 +281,19 @@ TEST(MergeTest, InputTableMergeRemapsAndTranslatesMemberIds) {
   EXPECT_EQ(Acc.Acc->inputs().liveInputs().size(),
             Serial.inputs().liveInputs().size());
 
-  // Member ids from shard B appear shifted by A's object count, and the
-  // merged membership resolves them to the unified inputs.
+  // Member ids from shard B appear shifted by A's object count, each in
+  // the Members of exactly one unified input of the same kind.
   const InputTable &BT = B.Prof->inputs();
+  const InputTable &Merged = Acc.Acc->inputs();
   for (int32_t Id : BT.liveInputs()) {
     for (int64_t Obj : BT.info(Id).Members) {
-      int32_t Mapped = Acc.Acc->inputs().inputOf(
-          static_cast<vm::ObjId>(Obj + A.NumObjects));
-      EXPECT_GE(Mapped, 0);
+      int Holders = 0;
+      for (int32_t M : Merged.liveInputs())
+        if (Merged.info(M).Members.count(Obj + A.NumObjects)) {
+          ++Holders;
+          EXPECT_EQ(BT.info(Id).IsArray, Merged.info(M).IsArray);
+        }
+      EXPECT_EQ(1, Holders) << "shard object " << Obj;
     }
   }
 }

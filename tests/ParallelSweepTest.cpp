@@ -236,10 +236,9 @@ TEST(ParallelSweepTest, SuccessiveSweepsAccumulateLikeSerial) {
   parallel::SweepEngine E(*CP, SO);
   for (std::vector<int64_t> Batch : {std::vector<int64_t>{4, 8},
                                      std::vector<int64_t>{12, 16}}) {
-    std::vector<vm::IoChannels> Ios(Batch.size());
-    for (size_t I = 0; I < Batch.size(); ++I)
-      Ios[I].Input = {Batch[I]};
-    EXPECT_TRUE(E.sweepWithInputs("Main", "main", Ios).allOk());
+    EXPECT_TRUE(
+        E.sweepWithInputs("Main", "main", prof::runInputs(Batch, 1, {}))
+            .allOk());
   }
   Sigs Batched = {
       testutil::profileSignature(E.buildProfiles(), E.inputs()),

@@ -197,10 +197,8 @@ TEST(SchedulePerturbationTest, MergedProfileIsScheduleInvariant) {
     P.MaxDelayMicros = 200;
     parallel::SweepEngine E(*CP, SO);
     E.setPerturbationForTest(P);
-    std::vector<vm::IoChannels> Ios(Seeds.size());
-    for (size_t I = 0; I < Seeds.size(); ++I)
-      Ios[I].Input = {Seeds[I]};
-    parallel::SweepResult SR = E.sweepWithInputs("Main", "main", Ios);
+    parallel::SweepResult SR =
+        E.sweepWithInputs("Main", "main", prof::runInputs(Seeds, 1, {}));
     ASSERT_TRUE(SR.allOk()) << "schedule seed " << P.Seed;
     Sigs Got = engineSigs(E);
     ASSERT_EQ(Want.Profiles, Got.Profiles) << "schedule seed " << P.Seed;

@@ -1,9 +1,9 @@
 //===- tests/ServiceTest.cpp - Daemon, protocol, and streaming tests ------===//
 //
-// The profiling-as-a-service layer end to end: wire codecs (v1 and
-// v2), daemon admission control (frame hygiene, quotas, session caps,
+// The profiling-as-a-service layer end to end: the algoprof-wire/2
+// codecs, daemon admission control (frame hygiene, quotas, session caps,
 // TCP auth), streamed sessions whose final profile must be
-// byte-identical to the serial CLI path, v2 delta content (incremental
+// byte-identical to the serial CLI path, delta content (incremental
 // tree repetitions, refreshed fits), slow-client backpressure, the
 // durable job journal with replay and resume, client-disconnect
 // survival, the /metrics endpoint, the content-keyed CompileCache, and
@@ -13,13 +13,11 @@
 
 #include "core/CompileCache.h"
 #include "core/Session.h"
-#include "programs/Programs.h"
-#include "support/Diagnostics.h"
-#include "report/Reporter.h"
 #include "service/Client.h"
 #include "service/Daemon.h"
 #include "service/Journal.h"
 
+#include "ServiceTestUtil.h"
 #include "gtest/gtest.h"
 
 #include <atomic>
@@ -38,24 +36,9 @@
 
 using namespace algoprof;
 using namespace algoprof::service;
+using namespace algoprof::testutil;
 
 namespace {
-
-/// A unique socket path per test: /tmp keeps it under the sun_path
-/// limit regardless of how deep the build tree sits.
-std::string testSocketPath() {
-  static std::atomic<int> Counter{0};
-  return "/tmp/algoprofd-test-" + std::to_string(::getpid()) + "-" +
-         std::to_string(Counter.fetch_add(1)) + ".sock";
-}
-
-/// A unique scratch file (journal, token) per call, removed by callers.
-std::string testScratchPath(const char *Tag) {
-  static std::atomic<int> Counter{0};
-  return std::string("/tmp/algoprofd-test-") + Tag + "-" +
-         std::to_string(::getpid()) + "-" +
-         std::to_string(Counter.fetch_add(1));
-}
 
 void writeFile(const std::string &Path, const std::string &Data) {
   std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
@@ -76,89 +59,6 @@ int rawConnect(const std::string &Path) {
     return -1;
   }
   return Fd;
-}
-
-/// One job over the typed API against a Unix-socket daemon.
-TypedResult runTyped(const std::string &SocketPath, const JobSpec &Job) {
-  return Client::unixSocket(SocketPath).submit(Job).wait();
-}
-
-/// The serial reference: exactly what the CLI renders for the same
-/// program + options with --format json (ProfileDriver is the CLI's
-/// one-true-path; the daemon's streamed profile must match its bytes).
-std::string serialReferenceJson(const std::string &Source,
-                                prof::SessionOptions SO) {
-  DiagnosticEngine Diags;
-  std::unique_ptr<prof::CompiledProgram> CP =
-      prof::compileMiniJ(Source, Diags);
-  EXPECT_TRUE(CP) << Diags.str();
-  SO.Jobs = 1;
-  prof::ProfileDriver Driver(*CP, SO);
-  Driver.runAll("Main", "main");
-  std::vector<prof::AlgorithmProfile> Profiles = Driver.buildProfiles();
-  report::ReportInput RI{&Driver.tree(), &Driver.inputs(), &Profiles,
-                         &Driver.failures()};
-  return report::Registry::builtin().find("json")->render(RI);
-}
-
-const std::string &corpusSource(const std::string &Name) {
-  for (const programs::CorpusProgram &P : programs::corpusPrograms())
-    if (P.Name == Name)
-      return P.Source;
-  ADD_FAILURE() << "no corpus program " << Name;
-  static std::string Empty;
-  return Empty;
-}
-
-/// One HTTP GET against the daemon's metrics port; returns the whole
-/// response (headers + body), empty on connect failure.
-std::string httpGet(int Port, const std::string &Path) {
-  int Fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (Fd < 0)
-    return "";
-  sockaddr_in Addr{};
-  Addr.sin_family = AF_INET;
-  Addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  Addr.sin_port = htons(static_cast<uint16_t>(Port));
-  if (::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) < 0) {
-    ::close(Fd);
-    return "";
-  }
-  std::string Req = "GET " + Path + " HTTP/1.1\r\nHost: localhost\r\n\r\n";
-  (void)!::send(Fd, Req.data(), Req.size(), MSG_NOSIGNAL);
-  std::string Resp;
-  char Buf[4096];
-  ssize_t R;
-  while ((R = ::recv(Fd, Buf, sizeof(Buf), 0)) > 0)
-    Resp.append(Buf, static_cast<size_t>(R));
-  ::close(Fd);
-  return Resp;
-}
-
-struct DaemonFixture {
-  DaemonOptions Opts;
-  std::unique_ptr<Daemon> D;
-
-  explicit DaemonFixture(DaemonOptions O = DaemonOptions()) {
-    Opts = std::move(O);
-    if (Opts.SocketPath.empty())
-      Opts.SocketPath = testSocketPath();
-    if (Opts.Workers == 0)
-      Opts.Workers = 2;
-    D = std::make_unique<Daemon>(Opts);
-    std::string Err;
-    EXPECT_TRUE(D->start(Err)) << Err;
-  }
-};
-
-/// Polls \p Pred (a daemon-stats condition) with a bounded wait.
-bool pollFor(const std::function<bool()> &Pred, int TimeoutMs = 20000) {
-  for (int Waited = 0; Waited < TimeoutMs; Waited += 10) {
-    if (Pred())
-      return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  return Pred();
 }
 
 } // namespace
@@ -201,8 +101,9 @@ TEST(ServiceProtocol, JobRequestRoundtrip) {
 
   JobRequest P;
   std::string Err;
-  ASSERT_TRUE(parseJobRequest(encodeJobRequest(R), P, Err)) << Err;
-  EXPECT_EQ(2, P.Protocol); // The default speaks algoprof-wire/2.
+  std::string Wire = encodeJobRequest(R);
+  EXPECT_EQ(0u, Wire.find("algoprof-wire/2\n"));
+  ASSERT_TRUE(parseJobRequest(Wire, P, Err)) << Err;
   EXPECT_EQ(R.Source, P.Source);
   EXPECT_EQ(R.Seeds, P.Seeds);
   EXPECT_EQ(R.Policy, P.Policy);
@@ -214,16 +115,12 @@ TEST(ServiceProtocol, JobRequestRoundtrip) {
   EXPECT_EQ(R.EntryMethod, P.EntryMethod);
   EXPECT_EQ(R.Auth, P.Auth);
 
-  // Legacy v1 encodes the old version line and still parses.
+  // Corpus jobs with unseeded runs and an input channel.
   JobRequest C;
-  C.Protocol = 1;
   C.Corpus = "insertion_sort";
   C.Runs = 3;
   C.Input = {7, 9};
-  std::string Wire = encodeJobRequest(C);
-  EXPECT_EQ(0u, Wire.find("algoprof-job/1\n"));
-  ASSERT_TRUE(parseJobRequest(Wire, P, Err)) << Err;
-  EXPECT_EQ(1, P.Protocol);
+  ASSERT_TRUE(parseJobRequest(encodeJobRequest(C), P, Err)) << Err;
   EXPECT_EQ(C.Corpus, P.Corpus);
   EXPECT_EQ(C.Runs, P.Runs);
   EXPECT_EQ(C.Input, P.Input);
@@ -240,17 +137,16 @@ TEST(ServiceProtocol, JobRequestRejectsGarbage) {
   JobRequest P;
   std::string Err;
   // Wrong version, unknown key, bad ints, wrong source byte count,
-  // neither corpus nor source nor resume, conflicting goals, resume on
-  // the legacy protocol, zero resume id.
+  // neither corpus nor source nor resume, conflicting goals, zero
+  // resume id.
   for (const std::string &Bad : {
            std::string("algoprof-job/9\ncorpus=x\n"),
-           std::string("algoprof-job/1\nwat=1\ncorpus=x\n"),
-           std::string("algoprof-job/1\ncorpus=x\nruns=zero\n"),
-           std::string("algoprof-job/1\nsource=10\nshort"),
-           std::string("algoprof-job/1\nruns=2\n"),
-           std::string("algoprof-job/1\ncorpus=x\nsource=2\nhi"),
+           std::string("algoprof-wire/2\nwat=1\ncorpus=x\n"),
+           std::string("algoprof-wire/2\ncorpus=x\nruns=zero\n"),
+           std::string("algoprof-wire/2\nsource=10\nshort"),
+           std::string("algoprof-wire/2\nruns=2\n"),
+           std::string("algoprof-wire/2\ncorpus=x\nsource=2\nhi"),
            std::string("algoprof-wire/2\ncorpus=x\nresume=1\n"),
-           std::string("algoprof-job/1\nresume=1\n"),
            std::string("algoprof-wire/2\nresume=0\n"),
        }) {
     EXPECT_FALSE(parseJobRequest(Bad, P, Err)) << Bad;
@@ -258,23 +154,29 @@ TEST(ServiceProtocol, JobRequestRejectsGarbage) {
   }
 
   // An unknown version's rejection names what IS supported, so old
-  // daemons fail future clients diagnosably.
-  EXPECT_FALSE(parseJobRequest("algoprof-wire/3\ncorpus=x\n", P, Err));
-  EXPECT_NE(Err.find("algoprof-wire/2"), std::string::npos) << Err;
-  EXPECT_NE(Err.find("algoprof-job/1"), std::string::npos) << Err;
+  // daemons fail future clients diagnosably — and the retired
+  // algoprof-job/1 line is just another unknown version.
+  for (const char *Old : {"algoprof-wire/3\ncorpus=x\n",
+                          "algoprof-job/1\ncorpus=x\n"}) {
+    EXPECT_FALSE(parseJobRequest(Old, P, Err)) << Old;
+    EXPECT_NE(Err.find("unsupported protocol"), std::string::npos) << Err;
+    EXPECT_NE(Err.find("algoprof-wire/2"), std::string::npos) << Err;
+  }
 }
 
 TEST(ServiceProtocol, ResponseCodecs) {
   AcceptedMsg A;
   A.Session = 42;
   A.Runs = 7;
-  A.Proto = 2;
   A.Resumed = true;
   AcceptedMsg A2;
+  // The constant proto=2 line keeps Accepted frames byte-identical for
+  // clients that still read it.
+  EXPECT_EQ("session=42\nruns=7\nproto=2\nresumed=1\nresumed-from=0\n",
+            encodeAccepted(A));
   ASSERT_TRUE(parseAccepted(encodeAccepted(A), A2));
   EXPECT_EQ(A.Session, A2.Session);
   EXPECT_EQ(A.Runs, A2.Runs);
-  EXPECT_EQ(A.Proto, A2.Proto);
   EXPECT_EQ(A.Resumed, A2.Resumed);
 
   RunDeltaMsg M;
@@ -286,6 +188,9 @@ TEST(ServiceProtocol, ResponseCodecs) {
   M.Attempts = 2;
   M.Quarantined = true;
   M.MergedRuns = 3;
+  M.TreeRepetitions = 123;
+  M.NewRepetitions = 45;
+  M.Fits = {{"sort", "0.25*n^2"}, {"scan", "2.0*n"}};
   RunDeltaMsg M2;
   ASSERT_TRUE(parseRunDelta(encodeRunDelta(M), M2));
   EXPECT_EQ(M.Run, M2.Run);
@@ -294,15 +199,6 @@ TEST(ServiceProtocol, ResponseCodecs) {
   EXPECT_EQ(M.Attempts, M2.Attempts);
   EXPECT_EQ(M.Quarantined, M2.Quarantined);
   EXPECT_EQ(M.MergedRuns, M2.MergedRuns);
-  EXPECT_FALSE(M2.V2); // No v2 lines emitted, none parsed.
-
-  // v2 deltas add tree counts and fit estimates.
-  M.V2 = true;
-  M.TreeRepetitions = 123;
-  M.NewRepetitions = 45;
-  M.Fits = {{"sort", "0.25*n^2"}, {"scan", "2.0*n"}};
-  ASSERT_TRUE(parseRunDelta(encodeRunDelta(M), M2));
-  EXPECT_TRUE(M2.V2);
   EXPECT_EQ(M.TreeRepetitions, M2.TreeRepetitions);
   EXPECT_EQ(M.NewRepetitions, M2.NewRepetitions);
   ASSERT_EQ(2u, M2.Fits.size());
@@ -412,7 +308,7 @@ TEST(ServiceCompileCache, ErrorThenFixedSourceRecompiles) {
 }
 
 //===----------------------------------------------------------------------===//
-// Streamed sessions: byte-identical profiles, v2 delta content
+// Streamed sessions: byte-identical profiles, delta content
 //===----------------------------------------------------------------------===//
 
 TEST(ServiceDaemon, StreamsCorpusSessionByteIdenticalToSerial) {
@@ -427,12 +323,11 @@ TEST(ServiceDaemon, StreamsCorpusSessionByteIdenticalToSerial) {
   TypedResult R = S.wait();
   ASSERT_TRUE(R.Ok) << R.Error.Code << ": " << R.Error.Message;
   EXPECT_EQ(4u, R.Acceptance.Runs);
-  EXPECT_EQ(2, R.Acceptance.Proto); // v2 negotiated by default.
   EXPECT_FALSE(R.Acceptance.Resumed);
   EXPECT_EQ(R.Deltas.size(), LiveDeltas); // Callback saw every delta.
 
   // Deltas arrive strictly in run-index order, one per run, each
-  // carrying the v2 view of the accumulated profile: total tree
+  // carrying a view of the accumulated profile: total tree
   // repetitions are monotone and decompose exactly into the per-run
   // increments, and the fitted-curve estimates appear once the series
   // has enough points for a valid fit.
@@ -444,7 +339,6 @@ TEST(ServiceDaemon, StreamsCorpusSessionByteIdenticalToSerial) {
     EXPECT_EQ("ok", D.Status);
     EXPECT_EQ(4u, D.Total);
     EXPECT_EQ(static_cast<int64_t>(I) + 1, D.MergedRuns);
-    EXPECT_TRUE(D.V2);
     EXPECT_GE(D.TreeRepetitions, PrevReps);
     EXPECT_EQ(D.TreeRepetitions - PrevReps, D.NewRepetitions);
     PrevReps = D.TreeRepetitions;
@@ -472,31 +366,6 @@ TEST(ServiceDaemon, StreamsCorpusSessionByteIdenticalToSerial) {
   EXPECT_EQ(4u, St.DeltasStreamed);
   EXPECT_EQ(0u, St.DeltasDropped);
   EXPECT_GT(St.BytesStreamed, R.ProfileJson.size());
-}
-
-TEST(ServiceDaemon, V1ClientsNegotiateLegacyStream) {
-  DaemonFixture F;
-  JobSpec Job;
-  Job.Protocol = 1;
-  Job.Corpus = "seeded_insertion_sort_random";
-  Job.Seeds = {4, 8, 12};
-
-  TypedResult R = runTyped(F.Opts.SocketPath, Job);
-  ASSERT_TRUE(R.Ok) << R.Error.Code << ": " << R.Error.Message;
-  EXPECT_EQ(1, R.Acceptance.Proto);
-  ASSERT_EQ(3u, R.Deltas.size());
-  for (const RunDeltaMsg &D : R.Deltas) {
-    // Legacy stream: status-only deltas, none of the v2 fields.
-    EXPECT_FALSE(D.V2);
-    EXPECT_EQ(0, D.TreeRepetitions);
-    EXPECT_TRUE(D.Fits.empty());
-  }
-
-  // The wire version changes the deltas, never the document.
-  prof::SessionOptions SO;
-  SO.Seeds = Job.Seeds;
-  EXPECT_EQ(serialReferenceJson(corpusSource(Job.Corpus), SO),
-            R.ProfileJson);
 }
 
 TEST(ServiceDaemon, StreamsInlineSourceWithInjectedFaults) {
@@ -707,12 +576,15 @@ TEST(ServiceDaemon, ReplaysJournaledJobAndServesByteIdenticalResume) {
   Job.Corpus = "seeded_insertion_sort_random";
   Job.Seeds = {4, 8, 12, 16};
 
-  // Fabricate the crash state: a job accepted (journaled) by a daemon
-  // that died before completing it — an A record with no C.
+  // Fabricate the crash state: jobs accepted (journaled) by a daemon
+  // that died before completing them — A records with no C. The daemon
+  // was an older one that still accepted the retired algoprof-job/1.
   {
     Journal J;
     std::string Err;
     ASSERT_TRUE(J.open(JournalPath, Err)) << Err;
+    ASSERT_TRUE(J.appendAccepted(
+        5, "algoprof-job/1\ncorpus=seeded_insertion_sort_random\n"));
     ASSERT_TRUE(J.appendAccepted(7, encodeJobRequest(Job)));
   }
 
@@ -728,14 +600,12 @@ TEST(ServiceDaemon, ReplaysJournaledJobAndServesByteIdenticalResume) {
   ASSERT_TRUE(R.Ok) << R.Error.Code << ": " << R.Error.Message;
   EXPECT_TRUE(R.Acceptance.Resumed);
   EXPECT_EQ(7u, R.Acceptance.Session);
-  EXPECT_EQ(2, R.Acceptance.Proto);
   EXPECT_EQ(4u, R.Acceptance.Runs);
 
-  // The resumed stream is the full v2 session: every delta, then the
-  // byte-identical document.
+  // The resumed stream is the full session: every delta, with the tree
+  // counts it was retained with, then the byte-identical document.
   ASSERT_EQ(4u, R.Deltas.size());
-  for (const RunDeltaMsg &D : R.Deltas)
-    EXPECT_TRUE(D.V2);
+  EXPECT_GT(R.Deltas.back().TreeRepetitions, 0);
   prof::SessionOptions SO;
   SO.Seeds = Job.Seeds;
   EXPECT_EQ(serialReferenceJson(corpusSource(Job.Corpus), SO),
@@ -746,6 +616,17 @@ TEST(ServiceDaemon, ReplaysJournaledJobAndServesByteIdenticalResume) {
   // The replay itself is not a client session; the resume is one.
   EXPECT_EQ(1u, St.Accepted);
   EXPECT_EQ(1u, St.Completed);
+
+  // The legacy record replayed as a failure; resuming it answers a
+  // clean Error frame naming the cause, not a hang or a dropped link.
+  Rs.Resume = 5;
+  R = runTyped(F.Opts.SocketPath, Rs);
+  EXPECT_FALSE(R.Ok);
+  EXPECT_FALSE(R.Error.Transport) << R.Error.Message;
+  EXPECT_EQ(errc::BadRequest, R.Error.Code);
+  EXPECT_NE(R.Error.Message.find("unreplayable journal record"),
+            std::string::npos)
+      << R.Error.Message;
 
   // New sessions on this daemon get ids above the journal's maximum —
   // replayed and live ids can never collide.
@@ -891,10 +772,16 @@ TEST(ServiceDaemon, RejectsMalformedAndTruncatedFrames) {
       errc::BadRequest);
   expectRawError(
       F.Opts.SocketPath,
-      encodeFrame(FrameType::Job, "algoprof-job/1\ncorpus=no_such\n"),
+      encodeFrame(FrameType::Job, "algoprof-wire/2\ncorpus=no_such\n"),
       errc::BadRequest);
 
-  EXPECT_EQ(8u, F.D->stats().Rejected);
+  // The retired algoprof-job/1 line is just an unknown version.
+  expectRawError(
+      F.Opts.SocketPath,
+      encodeFrame(FrameType::Job, "algoprof-job/1\ncorpus=insertion_sort\n"),
+      errc::BadRequest);
+
+  EXPECT_EQ(9u, F.D->stats().Rejected);
   EXPECT_EQ(0u, F.D->stats().Accepted);
 }
 

@@ -201,6 +201,12 @@ printf '%s' "$out" | grep -q "degraded" \
   || fail "--corpus degraded run: no degraded status: $out"
 
 if [ "$FAILURES" -ne 0 ]; then
+  # The trap removes $WORK: print every file the checks above read.
+  for f in "$WORK"/p.json "$WORK"/t.json "$WORK"/t.prom "$WORK"/new.dot; do
+    [ -e "$f" ] || continue
+    echo "--- $(basename "$f")" >&2
+    cat "$f" >&2
+  done
   echo "$FAILURES cli test(s) failed" >&2
   exit 1
 fi

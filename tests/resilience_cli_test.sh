@@ -154,11 +154,13 @@ out=$("$ALGOPROF" "$WORK/alloc.mj" --retries -1 2>&1)
 [ $? -ne 0 ] || fail "--retries -1: expected non-zero exit: $out"
 
 if [ "$FAILURES" -ne 0 ]; then
-  # The trap removes $WORK: print every captured log first.
-  for log in "$WORK"/*.log; do
-    [ -e "$log" ] || continue
-    echo "--- $(basename "$log")" >&2
-    cat "$log" >&2
+  # The trap removes $WORK: print every captured log and every file
+  # the checks above grep or compare first.
+  for f in "$WORK"/*.log "$WORK"/degraded.json "$WORK"/serial.json \
+           "$WORK"/degraded.algo "$WORK"/serial.algo; do
+    [ -e "$f" ] || continue
+    echo "--- $(basename "$f")" >&2
+    cat "$f" >&2
   done
   echo "$FAILURES resilience cli test(s) failed" >&2
   exit 1

@@ -31,7 +31,6 @@
 ///     --max-heap-bytes N     per-run heap budget
 ///     --deadline-ms N        per-run deadline
 ///     --inject SPEC          session-scoped fault plan
-///     --proto 1|2            wire version (default 2: tree/fit deltas)
 ///     --out FILE             write the profile JSON here (default stdout)
 ///     --quiet                suppress per-run delta lines on stderr
 ///
@@ -65,7 +64,7 @@ int usage(const char *Argv0) {
       "       [--policy fail|skip|retry] [--retries N]\n"
       "       [--connect-retries N] [--timeout-ms N]\n"
       "       [--max-heap-bytes N] [--deadline-ms N] [--inject SPEC]\n"
-      "       [--proto 1|2] [--out FILE] [--quiet]\n",
+      "       [--out FILE] [--quiet]\n",
       Argv0);
   return 2;
 }
@@ -216,13 +215,6 @@ int main(int Argc, char **Argv) {
     } else if (Arg == "--inject" && Val) {
       Job.InjectSpec = Val;
       ++I;
-    } else if (Arg == "--proto") {
-      if (!parseU64Arg("--proto", Val, N) || (N != 1 && N != 2)) {
-        std::fprintf(stderr, "error: --proto wants 1 or 2\n");
-        return 2;
-      }
-      Job.Protocol = static_cast<int>(N);
-      ++I;
     } else if (Arg == "--out" && Val) {
       OutPath = Val;
       ++I;
@@ -260,10 +252,6 @@ int main(int Argc, char **Argv) {
     Job.EntryClass = EntrySpec.substr(0, Dot);
     Job.EntryMethod = EntrySpec.substr(Dot + 1);
   }
-  if (Job.Resume != 0 && Job.Protocol < 2) {
-    std::fprintf(stderr, "error: --resume requires --proto 2\n");
-    return 2;
-  }
   if (Job.FromDelta != 0 && Job.Resume == 0) {
     std::fprintf(stderr, "error: --from-delta requires --resume\n");
     return 2;
@@ -299,18 +287,15 @@ int main(int Argc, char **Argv) {
   std::function<void(const service::RunDeltaMsg &)> OnDelta;
   if (!Quiet)
     OnDelta = [](const service::RunDeltaMsg &D) {
-      std::fprintf(stderr, "run %lld %s%s merged=%lld",
+      std::fprintf(stderr, "run %lld %s%s merged=%lld repetitions=%lld(+%lld)",
                    static_cast<long long>(D.Run), D.Status.c_str(),
                    D.Quarantined ? " (quarantined)" : "",
-                   static_cast<long long>(D.MergedRuns));
-      if (D.V2) {
-        std::fprintf(stderr, " repetitions=%lld(+%lld)",
-                     static_cast<long long>(D.TreeRepetitions),
-                     static_cast<long long>(D.NewRepetitions));
-        for (const service::FitEstimate &F : D.Fits)
-          std::fprintf(stderr, " [%s ~ %s]", F.Label.c_str(),
-                       F.Formula.c_str());
-      }
+                   static_cast<long long>(D.MergedRuns),
+                   static_cast<long long>(D.TreeRepetitions),
+                   static_cast<long long>(D.NewRepetitions));
+      for (const service::FitEstimate &F : D.Fits)
+        std::fprintf(stderr, " [%s ~ %s]", F.Label.c_str(),
+                     F.Formula.c_str());
       std::fprintf(stderr, "\n");
     };
   service::TypedResult R = C.run(Job, Retry, OnDelta);

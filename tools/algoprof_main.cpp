@@ -429,9 +429,8 @@ int runCorpus(CliOptions &Opts) {
   // input-size sweep out of the box. Explicit --seeds/--runs win.
   if (Opts.Session.Seeds.empty() && Opts.Session.Runs == 1)
     Opts.Session.Seeds = {4, 8, 12, 16, 20, 24};
-  size_t RunsPerProgram = Opts.Session.Seeds.empty()
-                              ? static_cast<size_t>(Opts.Session.Runs)
-                              : Opts.Session.Seeds.size();
+  size_t RunsPerProgram =
+      prof::runCount(Opts.Session.Seeds, Opts.Session.Runs);
 
   parallel::CorpusRunner Runner(Opts.Session);
   parallel::CorpusResult Result =
@@ -621,9 +620,7 @@ int runTool(int Argc, char **Argv) {
     cct::CctProfiler Profiler(*CP->Mod);
     vm::Interpreter Interp(CP->Prep);
     vm::InstrumentationPlan Plan = vm::InstrumentationPlan::all(*CP->Mod);
-    size_t CctRuns = Opts.Session.Seeds.empty()
-                         ? static_cast<size_t>(Opts.Session.Runs)
-                         : Opts.Session.Seeds.size();
+    size_t CctRuns = prof::runCount(Opts.Session.Seeds, Opts.Session.Runs);
     for (size_t Run = 0; Run < CctRuns; ++Run) {
       vm::IoChannels Io;
       Io.Input = Opts.Session.Input;
