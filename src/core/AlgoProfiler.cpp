@@ -24,6 +24,57 @@ AlgoProfiler::~AlgoProfiler() = default;
 // Activation management
 //===----------------------------------------------------------------------===//
 
+namespace {
+
+bool isStructAccess(CostKind K) {
+  return K == CostKind::StructGet || K == CostKind::StructPut;
+}
+
+/// The costs in \p Slots (sorted, one per key) as a CostMap. Structure
+/// accesses were counted only per type; each input-level GET/PUT entry
+/// is the sum of that input's per-type entries, which directly precede
+/// it in key order.
+CostMap sortedCosts(const std::vector<CostMap::Entry> &Slots) {
+  auto StartsInput = [&Slots](size_t I) {
+    const CostKey &K = Slots[I].first;
+    return isStructAccess(K.Kind) &&
+           (I == 0 || Slots[I - 1].first.Kind != K.Kind ||
+            Slots[I - 1].first.InputId != K.InputId);
+  };
+  size_t NumInputLevel = 0;
+  for (size_t I = 0; I < Slots.size(); ++I)
+    NumInputLevel += StartsInput(I);
+  std::vector<CostMap::Entry> Out;
+  Out.reserve(Slots.size() + NumInputLevel);
+  size_t InputLevel = 0;
+  for (size_t I = 0; I < Slots.size(); ++I) {
+    const auto &[Key, N] = Slots[I];
+    if (isStructAccess(Key.Kind)) {
+      assert(Key.TypeId >= 0 && "structure access counted without a type");
+      if (StartsInput(I)) {
+        InputLevel = Out.size();
+        Out.push_back({{Key.Kind, Key.InputId, -1}, 0});
+      }
+      Out[InputLevel].second += N;
+    }
+    Out.push_back({Key, N});
+  }
+  return CostMap(std::move(Out));
+}
+
+} // namespace
+
+void AlgoProfiler::Activation::reset(RepetitionNode &N) {
+  Node = &N;
+  InvocationIndex = -1;
+  Costs.clear();
+  LastCost.fill(0);
+  FoldedCosts = CostMap();
+  Inputs.clear();
+  LastInput = 0;
+  RecursionDepth = 0;
+}
+
 AlgoProfiler::Activation &AlgoProfiler::top() {
   assert(!Stack.empty() && "no active repetition (program not started?)");
   return *Stack.back().A;
@@ -31,8 +82,10 @@ AlgoProfiler::Activation &AlgoProfiler::top() {
 
 AlgoProfiler::Activation &
 AlgoProfiler::pushOwnedActivation(RepetitionNode &Node) {
-  auto A = std::make_unique<Activation>();
-  A->Node = &Node;
+  if (NumOwned == OwnerPool.size())
+    OwnerPool.push_back(std::make_unique<Activation>());
+  Activation *A = OwnerPool[NumOwned++].get();
+  A->reset(Node);
 
   // Invocation sampling (paper Sec. 3.3): past the dense prefix, the
   // recording stride doubles for every further SampleThreshold records.
@@ -64,10 +117,8 @@ AlgoProfiler::pushOwnedActivation(RepetitionNode &Node) {
   } else {
     A->InvocationIndex = -1;
   }
-  Activation &Ref = *A;
-  OwnerPool.push_back(std::move(A));
-  Stack.push_back({&Ref, /*Owner=*/true});
-  return Ref;
+  Stack.push_back({A, /*Owner=*/true});
+  return *A;
 }
 
 void AlgoProfiler::finalizeTop() {
@@ -81,23 +132,19 @@ void AlgoProfiler::finalizeTop() {
     // point is lost.
     assert(Stack.size() >= 2 && "sampled activation without a parent");
     Activation &Parent = *Stack[Stack.size() - 2].A;
-    Parent.FoldedCosts.merge(A.Costs);
+    Parent.FoldedCosts.merge(sortedCosts(A.Costs.sortByKey()));
     Parent.FoldedCosts.merge(A.FoldedCosts);
-    for (auto &[Input, Live] : A.Inputs) {
-      auto It = Parent.Inputs.find(Input);
-      if (It == Parent.Inputs.end()) {
-        LiveUse Folded;
+    for (const auto &[Input, Live] : A.Inputs.sortByKey()) {
+      bool New = false;
+      LiveUse &Folded = Parent.Inputs.at(Input, Parent.LastInput, &New);
+      if (New) {
         Folded.LastRef = vm::NullObj; // Remeasure via tracked counts.
         Folded.Use = Live.Use;
-        Parent.Inputs.emplace(Input, std::move(Folded));
       } else {
-        It->second.Use.mergeMax(Live.Use);
+        Folded.Use.mergeMax(Live.Use);
       }
     }
-    Stack.pop_back();
-    assert(!OwnerPool.empty() && OwnerPool.back().get() == &A &&
-           "owner pool out of sync with the shadow stack");
-    OwnerPool.pop_back();
+    popOwned(A);
     return;
   }
   InvocationRecord &R =
@@ -106,7 +153,8 @@ void AlgoProfiler::finalizeTop() {
   // remeasureInputs (paper Sec. 3.4): second snapshot from the last
   // accessed reference of every touched input. Stream pseudo-inputs are
   // sized at each read/write, not by traversal.
-  for (auto &[Input, Live] : A.Inputs) {
+  std::vector<std::pair<int32_t, LiveUse>> &LiveInputs = A.Inputs.sortByKey();
+  for (auto &[Input, Live] : LiveInputs) {
     if (Inputs.info(Input).IsStream)
       continue;
     SizeMeasures Sizes = measureInput(Input, Live.LastRef);
@@ -115,13 +163,13 @@ void AlgoProfiler::finalizeTop() {
   }
 
   // Collapse inputs that were merged during the invocation.
-  R.Costs = std::move(A.Costs);
+  R.Costs = sortedCosts(A.Costs.sortByKey());
   R.Costs.canonicalizeInputs(
       [this](int32_t Id) { return Inputs.canonical(Id); });
   R.FoldedCosts = std::move(A.FoldedCosts);
   R.FoldedCosts.canonicalizeInputs(
       [this](int32_t Id) { return Inputs.canonical(Id); });
-  for (auto &[Input, Live] : A.Inputs) {
+  for (const auto &[Input, Live] : LiveInputs) {
     int32_t Canon = Inputs.canonical(Input);
     auto It = R.Inputs.find(Canon);
     if (It == R.Inputs.end())
@@ -130,11 +178,15 @@ void AlgoProfiler::finalizeTop() {
       It->second.mergeMax(Live.Use);
   }
   R.Finalized = true;
+  popOwned(A);
+}
 
+void AlgoProfiler::popOwned(Activation &A) {
   Stack.pop_back();
-  assert(!OwnerPool.empty() && OwnerPool.back().get() == &A &&
+  assert(NumOwned > 0 && OwnerPool[NumOwned - 1].get() == &A &&
          "owner pool out of sync with the shadow stack");
-  OwnerPool.pop_back();
+  (void)A;
+  --NumOwned;
 }
 
 //===----------------------------------------------------------------------===//
@@ -148,18 +200,15 @@ SizeMeasures AlgoProfiler::measureInput(int32_t Input, ObjId Ref) {
 }
 
 void AlgoProfiler::touchInput(Activation &A, int32_t Input, ObjId Ref) {
-  auto It = A.Inputs.find(Input);
-  if (It == A.Inputs.end()) {
+  bool First = false;
+  LiveUse &Live = A.Inputs.at(Input, A.LastInput, &First);
+  Live.LastRef = Ref;
+  if (First) {
     // First access of this input in this invocation: first snapshot.
-    LiveUse Live;
-    Live.LastRef = Ref;
     SizeMeasures Sizes = measureInput(Input, Ref);
     Live.Use.observe(Sizes.primary(Opts.ArrayMeasure), Sizes.Capacity,
                      Sizes.UniqueElems, Sizes.RefCount);
-    A.Inputs.emplace(Input, std::move(Live));
-    return;
   }
-  It->second.LastRef = Ref;
 }
 
 //===----------------------------------------------------------------------===//
@@ -204,7 +253,7 @@ void AlgoProfiler::onLoopBackEdge(int32_t MethodId, int32_t LoopId) {
          "back edge fired while another repetition is on top");
   (void)MethodId;
   (void)LoopId;
-  A.Costs.add({CostKind::Step, -1, -1});
+  A.addCost({CostKind::Step, -1, -1});
 }
 
 void AlgoProfiler::onLoopExit(int32_t MethodId, int32_t LoopId) {
@@ -240,7 +289,7 @@ void AlgoProfiler::onMethodEnter(int32_t MethodId) {
         break;
       }
     assert(A && "folded node has no live activation");
-    A->Costs.add({CostKind::Step, -1, -1});
+    A->addCost({CostKind::Step, -1, -1});
     ++A->RecursionDepth;
     Stack.push_back({A, /*Owner=*/false});
     return;
@@ -279,9 +328,9 @@ void AlgoProfiler::recordStructureAccess(ObjId Obj, Value Other,
                                          CostKind Kind) {
   int32_t Input = Inputs.onStructureAccess(Obj, Other);
   Activation &A = top();
-  A.Costs.add({Kind, Input, -1});
-  // Per-element-type refinement (paper: cost{input, type, GET/PUT}).
-  A.Costs.add({Kind, Input, Inputs.heap()->get(Obj).ClassId});
+  // Only the per-element-type refinement (paper: cost{input, type,
+  // GET/PUT}) is counted; finalizeTop derives cost{input, GET/PUT}.
+  A.addCost({Kind, Input, Inputs.heap()->get(Obj).ClassId});
   touchInput(A, Input, Obj);
 }
 
@@ -304,7 +353,7 @@ void AlgoProfiler::recordArrayAccess(ObjId Arr, CostKind Kind,
   int32_t Input = Inputs.onArrayAccess(Arr);
   Inputs.onArrayStoreValue(Input, Arr, Elem);
   Activation &A = top();
-  A.Costs.add({Kind, Input, -1});
+  A.addCost({Kind, Input, -1});
   touchInput(A, Input, Arr);
 }
 
@@ -323,18 +372,18 @@ void AlgoProfiler::onArrayStore(ObjId Arr, int64_t Index, Value New) {
 
 void AlgoProfiler::onNewObject(ObjId Obj, int32_t ClassId) {
   (void)Obj;
-  top().Costs.add({CostKind::New, -1, ClassId});
+  top().addCost({CostKind::New, -1, ClassId});
 }
 
 void AlgoProfiler::onNewArray(ObjId Arr, bc::TypeId ArrayType, int64_t Len) {
   (void)Arr;
   (void)Len;
-  top().Costs.add({CostKind::ArrayNew, -1, ArrayType});
+  top().addCost({CostKind::ArrayNew, -1, ArrayType});
 }
 
 void AlgoProfiler::touchStream(Activation &A, int32_t Input,
                                int64_t Size) {
-  LiveUse &Live = A.Inputs[Input];
+  LiveUse &Live = A.Inputs.at(Input, A.LastInput);
   Live.LastRef = vm::NullObj;
   Live.Use.observe(Size, /*Capacity=*/0, /*Unique=*/0, /*Refs=*/0);
 }
@@ -345,7 +394,7 @@ void AlgoProfiler::onInputRead() {
   // keyed by it, like structure accesses, and its size is the total
   // data available on the channel ("the size of the file").
   int32_t Stream = Inputs.externalStreamInput(/*IsInputStream=*/true);
-  A.Costs.add({CostKind::InputRead, Stream, -1});
+  A.addCost({CostKind::InputRead, Stream, -1});
   touchStream(A, Stream,
               Io ? static_cast<int64_t>(Io->Input.size()) : 0);
 }
@@ -353,7 +402,7 @@ void AlgoProfiler::onInputRead() {
 void AlgoProfiler::onOutputWrite() {
   Activation &A = top();
   int32_t Stream = Inputs.externalStreamInput(/*IsInputStream=*/false);
-  A.Costs.add({CostKind::OutputWrite, Stream, -1});
+  A.addCost({CostKind::OutputWrite, Stream, -1});
   // The output's size is what has been produced so far; the max rule
   // turns this into the run's final output size.
   touchStream(A, Stream,

@@ -18,7 +18,12 @@
 #include "core/RepetitionTree.h"
 #include "vm/Interpreter.h"
 
+#include <algorithm>
+#include <array>
 #include <memory>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 namespace algoprof {
 namespace prof {
@@ -93,21 +98,102 @@ public:
   void onOutputWrite() override;
 
 private:
+  /// Unsorted (key, value) slots, one per key. A lookup first tries the
+  /// caller's hint (the slot it hit last), then scans while the table is
+  /// small, then a hash index built once it is not.
+  template <typename K, typename V, typename Hash> class SlotTable {
+  public:
+    using Slot = std::pair<K, V>;
+
+    /// The value of \p Key, appended value-initialized (and \p Inserted
+    /// set) when missing. Leaves \p Hint at the slot.
+    V &at(const K &Key, uint32_t &Hint, bool *Inserted = nullptr) {
+      if (Hint >= Slots.size() || !(Slots[Hint].first == Key))
+        Hint = slotOf(Key, Inserted);
+      return Slots[Hint].second;
+    }
+
+    /// Sorts the slots by key and returns them. Later lookups stay
+    /// correct (they rebuild the index) but are meant to follow clear().
+    std::vector<Slot> &sortByKey() {
+      std::sort(Slots.begin(), Slots.end(),
+                [](const Slot &A, const Slot &B) { return A.first < B.first; });
+      if (!Index.empty())
+        Index.clear();
+      return Slots;
+    }
+
+    void clear() {
+      Slots.clear();
+      if (!Index.empty())
+        Index.clear();
+    }
+
+  private:
+    static constexpr size_t MaxScanned = 16;
+
+    uint32_t slotOf(const K &Key, bool *Inserted) {
+      if (!Index.empty()) {
+        auto [It, New] =
+            Index.try_emplace(Key, static_cast<uint32_t>(Slots.size()));
+        if (New)
+          Slots.push_back({Key, V()});
+        if (Inserted)
+          *Inserted = New;
+        return It->second;
+      }
+      for (uint32_t I = 0; I < Slots.size(); ++I)
+        if (Slots[I].first == Key)
+          return I;
+      Slots.push_back({Key, V()});
+      if (Inserted)
+        *Inserted = true;
+      if (Slots.size() > MaxScanned)
+        for (uint32_t I = 0; I < Slots.size(); ++I)
+          Index.emplace(Slots[I].first, I);
+      return static_cast<uint32_t>(Slots.size() - 1);
+    }
+
+    std::vector<Slot> Slots;
+    std::unordered_map<K, uint32_t, Hash> Index;
+  };
+
+  struct CostKeyHash {
+    size_t operator()(const CostKey &K) const {
+      uint64_t H = static_cast<uint32_t>(K.InputId);
+      H = H * 0x9E3779B97F4A7C15ull + static_cast<uint32_t>(K.TypeId);
+      H = H * 0x9E3779B97F4A7C15ull + static_cast<uint8_t>(K.Kind);
+      return static_cast<size_t>(H ^ (H >> 29));
+    }
+  };
+
   struct LiveUse {
     vm::ObjId LastRef = vm::NullObj;
     InputUse Use;
   };
 
   /// One live invocation of a repetition. Folded recursive re-entries
-  /// share the activation of the recursion header.
+  /// share the activation of the recursion header. Activations are
+  /// pooled: a finished one is reset and reused by the next push.
   struct Activation {
     RepetitionNode *Node = nullptr;
     int32_t InvocationIndex = -1; ///< -1 when sampled out.
-    CostMap Costs;
+    /// This invocation's own costs, sorted into a CostMap at finalize.
+    /// Structure accesses count only the per-type GET/PUT key; the
+    /// input-level key is derived from those at finalize.
+    SlotTable<CostKey, int64_t, CostKeyHash> Costs;
+    std::array<uint32_t, NumCostKinds> LastCost{}; ///< Hint per kind.
     /// Costs inherited from sampled-out child invocations.
     CostMap FoldedCosts;
-    std::map<int32_t, LiveUse> Inputs;
+    /// Raw input id -> live use, visited in id order at finalize.
+    SlotTable<int32_t, LiveUse, std::hash<int32_t>> Inputs;
+    uint32_t LastInput = 0; ///< Hint into Inputs.
     int RecursionDepth = 0;
+
+    void addCost(CostKey Key) {
+      ++Costs.at(Key, LastCost[static_cast<size_t>(Key.Kind)]);
+    }
+    void reset(RepetitionNode &N);
   };
 
   struct StackEntry {
@@ -118,6 +204,8 @@ private:
   Activation &top();
   Activation &pushOwnedActivation(RepetitionNode &Node);
   void finalizeTop();
+  /// Pops the owning stack entry of \p A and returns \p A to the pool.
+  void popOwned(Activation &A);
   void touchInput(Activation &A, int32_t Input, vm::ObjId Ref);
   /// Touch for stream pseudo-inputs: size comes from the I/O channels,
   /// not from heap traversal.
@@ -135,7 +223,10 @@ private:
   const vm::IoChannels *Io = nullptr;
 
   std::vector<StackEntry> Stack;
+  /// Owning activations: the first NumOwned are live, in push order; the
+  /// rest are finished ones kept for reuse.
   std::vector<std::unique_ptr<Activation>> OwnerPool;
+  size_t NumOwned = 0;
 };
 
 } // namespace prof

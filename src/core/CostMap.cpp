@@ -2,6 +2,10 @@
 
 #include "core/CostMap.h"
 
+#include <algorithm>
+#include <cassert>
+#include <limits>
+
 using namespace algoprof;
 using namespace algoprof::prof;
 
@@ -29,21 +33,95 @@ const char *algoprof::prof::costKindLabel(CostKind K) {
   return "<bad-kind>";
 }
 
+namespace {
+
+bool keyLess(const CostMap::Entry &E, const CostKey &K) { return E.first < K; }
+
+} // namespace
+
+CostMap::CostMap(std::vector<Entry> Sorted) : Counts(std::move(Sorted)) {
+  assert(std::adjacent_find(Counts.begin(), Counts.end(),
+                            [](const Entry &A, const Entry &B) {
+                              return !(A.first < B.first);
+                            }) == Counts.end() &&
+         "cost entries must be strictly ascending");
+}
+
+void CostMap::add(CostKey Key, int64_t N) {
+  auto It = std::lower_bound(Counts.begin(), Counts.end(), Key, keyLess);
+  if (It != Counts.end() && It->first == Key)
+    It->second += N;
+  else
+    Counts.insert(It, {Key, N});
+}
+
+int64_t CostMap::get(CostKey Key) const {
+  auto It = std::lower_bound(Counts.begin(), Counts.end(), Key, keyLess);
+  return It != Counts.end() && It->first == Key ? It->second : 0;
+}
+
 int64_t CostMap::total(CostKind K, int32_t InputId) const {
+  if (InputId >= 0)
+    return get({K, InputId, -1});
+  // Keys of one kind are contiguous; the smallest one starts the range.
+  CostKey First{K, std::numeric_limits<int32_t>::min(),
+                std::numeric_limits<int32_t>::min()};
   int64_t Sum = 0;
-  for (const auto &[Key, N] : Counts) {
-    if (Key.Kind != K || Key.TypeId != -1)
-      continue;
-    if (InputId >= 0 && Key.InputId != InputId)
-      continue;
-    Sum += N;
-  }
+  for (auto It = std::lower_bound(Counts.begin(), Counts.end(), First,
+                                  keyLess);
+       It != Counts.end() && It->first.Kind == K; ++It)
+    if (It->first.TypeId == -1)
+      Sum += It->second;
   return Sum;
 }
 
 void CostMap::merge(const CostMap &Other) {
-  for (const auto &[Key, N] : Other.Counts)
-    Counts[Key] += N;
+  const std::vector<Entry> &B = Other.Counts;
+  if (B.empty())
+    return;
+  if (Counts.empty()) {
+    Counts = B;
+    return;
+  }
+  // Count the keys only \p Other has, grow once, then merge from the
+  // back so no entry moves twice and no scratch buffer is needed.
+  size_t NewKeys = 0;
+  for (size_t I = 0, J = 0; J < B.size();) {
+    if (I == Counts.size() || B[J].first < Counts[I].first) {
+      ++NewKeys;
+      ++J;
+    } else if (Counts[I].first < B[J].first) {
+      ++I;
+    } else {
+      ++I;
+      ++J;
+    }
+  }
+  size_t I = Counts.size(), J = B.size();
+  Counts.resize(Counts.size() + NewKeys);
+  for (size_t W = Counts.size(); J > 0;) {
+    if (I > 0 && B[J - 1].first < Counts[I - 1].first) {
+      Counts[--W] = Counts[--I];
+    } else if (I > 0 && Counts[I - 1].first == B[J - 1].first) {
+      Counts[--W] = {B[J - 1].first, Counts[--I].second + B[J - 1].second};
+      --J;
+    } else {
+      Counts[--W] = B[--J];
+    }
+  }
+}
+
+void CostMap::sortAndCoalesce() {
+  std::sort(Counts.begin(), Counts.end(),
+            [](const Entry &A, const Entry &B) { return A.first < B.first; });
+  size_t Out = 0;
+  for (size_t I = 0; I < Counts.size(); ++I) {
+    if (Out > 0 && Counts[Out - 1].first == Counts[I].first)
+      Counts[Out - 1].second += Counts[I].second;
+    else
+      Counts[Out++] = Counts[I];
+  }
+  Counts.resize(Out);
 }
 
 std::string CostMap::str() const {

@@ -11,9 +11,11 @@
 #ifndef ALGOPROF_CORE_COSTMAP_H
 #define ALGOPROF_CORE_COSTMAP_H
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace algoprof {
 namespace prof {
@@ -30,6 +32,10 @@ enum class CostKind : uint8_t {
   InputRead,   ///< External input consumed.
   OutputWrite, ///< External output produced.
 };
+
+/// Number of CostKind values.
+inline constexpr size_t NumCostKinds =
+    static_cast<size_t>(CostKind::OutputWrite) + 1;
 
 /// Returns a short label for \p K ("STEP", "GET", ...), matching the
 /// paper's notation.
@@ -55,16 +61,29 @@ struct CostKey {
   }
 };
 
-/// Counts of primitive operations. Deliberately an ordered map: reports
-/// iterate it deterministically.
+/// Counts of primitive operations: a vector of (key, count) entries kept
+/// sorted by key, one entry per key. Every invocation record carries
+/// two of these, and the profile back half copies, merges and scans
+/// them (cost combination, grouping, classification, series
+/// extraction), so they are flat: a copy is one allocation, a merge is
+/// a linear two-way merge, and entries() iterates in ascending key
+/// order, which keeps reports deterministic. Hot-path accumulation does
+/// not happen here (a sorted insert per event is too slow); the
+/// profiler counts into unsorted per-activation slots and sorts them
+/// once into a CostMap when the activation finishes.
 class CostMap {
 public:
-  void add(CostKey Key, int64_t N = 1) { Counts[Key] += N; }
+  using Entry = std::pair<CostKey, int64_t>;
 
-  int64_t get(CostKey Key) const {
-    auto It = Counts.find(Key);
-    return It == Counts.end() ? 0 : It->second;
-  }
+  CostMap() = default;
+  /// Adopts \p Sorted, whose keys must be strictly ascending.
+  explicit CostMap(std::vector<Entry> Sorted);
+
+  /// Adds \p N to \p Key: a binary search, plus an insert when the key
+  /// is new.
+  void add(CostKey Key, int64_t N = 1);
+
+  int64_t get(CostKey Key) const;
 
   /// Sum over all keys with kind \p K and (when \p InputId >= 0) that
   /// input, counting only the input-level entries (TypeId == -1) so the
@@ -79,25 +98,31 @@ public:
   void merge(const CostMap &Other);
 
   /// Rewrites input ids through \p Canonical (union-find collapse after
-  /// inputs were merged).
+  /// inputs were merged). Re-sorts only when some id changed.
   template <typename Fn> void canonicalizeInputs(Fn Canonical) {
-    std::map<CostKey, int64_t> NewCounts;
-    for (const auto &[Key, N] : Counts) {
-      CostKey K = Key;
-      if (K.InputId >= 0)
-        K.InputId = Canonical(K.InputId);
-      NewCounts[K] += N;
+    bool Changed = false;
+    for (Entry &E : Counts) {
+      if (E.first.InputId < 0)
+        continue;
+      int32_t Id = Canonical(E.first.InputId);
+      Changed |= Id != E.first.InputId;
+      E.first.InputId = Id;
     }
-    Counts = std::move(NewCounts);
+    if (Changed)
+      sortAndCoalesce();
   }
 
   bool empty() const { return Counts.empty(); }
-  const std::map<CostKey, int64_t> &entries() const { return Counts; }
+  /// Every (key, count) entry in ascending key order.
+  const std::vector<Entry> &entries() const { return Counts; }
 
   std::string str() const;
 
 private:
-  std::map<CostKey, int64_t> Counts;
+  /// Sorts the entries by key and sums those with equal keys.
+  void sortAndCoalesce();
+
+  std::vector<Entry> Counts;
 };
 
 } // namespace prof

@@ -129,7 +129,10 @@ public:
   /// Total algorithmic steps over all finalized invocations.
   int64_t totalSteps() const;
 
-  /// Canonical input ids touched by any invocation of this node.
+  /// Input ids touched by any invocation of this node. They are
+  /// canonical only as of each record's finalize; inputs merged later
+  /// keep their old ids here, so callers (e.g. Table1Check) map them
+  /// through InputTable::canonical.
   std::vector<int32_t> touchedInputs() const;
 };
 

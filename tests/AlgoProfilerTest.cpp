@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 using namespace algoprof;
 using namespace algoprof::prof;
 using namespace algoprof::testutil;
@@ -313,6 +315,89 @@ TEST(AlgoProfiler, HeadersOnlyPlanMatchesAllMethodsOnRecursions) {
   ASSERT_NE(B, nullptr);
   // Same folded step counts under both instrumentation plans.
   EXPECT_EQ(A->totalSteps(), B->totalSteps());
+}
+
+/// Checks that every input-level GET/PUT count of \p C equals the sum of
+/// that input's per-type counts, and that no per-type count lacks its
+/// input-level entry. Returns how many input-level entries had more
+/// than one per-type refinement.
+int expectInputLevelIsSumOfTypes(const CostMap &C) {
+  std::map<CostKey, int64_t> TypeSums;
+  std::map<CostKey, int> TypesPerInput;
+  for (const auto &[Key, Count] : C.entries()) {
+    if (Key.Kind != CostKind::StructGet && Key.Kind != CostKind::StructPut)
+      continue;
+    if (Key.TypeId >= 0) {
+      TypeSums[{Key.Kind, Key.InputId, -1}] += Count;
+      ++TypesPerInput[{Key.Kind, Key.InputId, -1}];
+    }
+  }
+  int MultiType = 0;
+  for (const auto &[Key, Sum] : TypeSums) {
+    EXPECT_EQ(C.get(Key), Sum)
+        << costKindLabel(Key.Kind) << " of input#" << Key.InputId;
+    MultiType += TypesPerInput[Key] > 1;
+  }
+  for (const auto &[Key, Count] : C.entries()) {
+    if ((Key.Kind == CostKind::StructGet ||
+         Key.Kind == CostKind::StructPut) &&
+        Key.TypeId < 0) {
+      EXPECT_TRUE(TypeSums.count(Key))
+          << costKindLabel(Key.Kind) << " of input#" << Key.InputId
+          << " has no per-type entries";
+    }
+  }
+  return MultiType;
+}
+
+TEST(AlgoProfiler, InputLevelStructCostsAreSumsOfPerTypeCosts) {
+  // Structure accesses count only the per-type key; finalize derives
+  // the input-level one. Each list mixes two node classes, and the many
+  // loop invocations make sampling fold.
+  const char *Src = R"(
+    class Node { Node next; }
+    class Big extends Node { int v; }
+    class Main {
+      static void main() {
+        for (int r = 1; r < 9; r++) {
+          Node list = null;
+          for (int i = 0; i < r * 3; i++) {
+            Node n = new Node();
+            if (i > r) { n = new Big(); }
+            n.next = list;
+            list = n;
+          }
+          int c = 0;
+          Node cur = list;
+          while (cur != null) { c++; cur = cur.next; }
+          print(c);
+        }
+      }
+    }
+  )";
+  for (int64_t Threshold : {0, 2}) {
+    SCOPED_TRACE("SampleThreshold=" + std::to_string(Threshold));
+    SessionOptions Opts;
+    Opts.Profile.SampleThreshold = Threshold;
+    ProfiledRun P = profile(Src, Opts);
+    ASSERT_TRUE(P.Session);
+    int Records = 0, MultiType = 0, Folded = 0;
+    P.Session->tree().forEach([&](const RepetitionNode &N) {
+      for (const InvocationRecord &R : N.History) {
+        if (!R.Finalized)
+          continue;
+        ++Records;
+        MultiType += expectInputLevelIsSumOfTypes(R.Costs);
+        MultiType += expectInputLevelIsSumOfTypes(R.FoldedCosts);
+        Folded += !R.FoldedCosts.empty();
+      }
+    });
+    EXPECT_GT(Records, 0);
+    EXPECT_GT(MultiType, 0) << "no input read through two types";
+    if (Threshold > 0) {
+      EXPECT_GT(Folded, 0) << "sampling folded no costs";
+    }
+  }
 }
 
 TEST(AlgoProfiler, TrapLeavesConsistentTree) {

@@ -17,7 +17,11 @@
 # (SnapshotMode, InputTable, MultiMeasure, the AllElements and Eager
 # profile goldens, and the shard-merge MergeTest): snapshot traversals
 # index their marks and the object->input map by heap object id, so an
-# id off by the heap's base or a shard offset reads out of bounds.
+# id off by the heap's base or a shard offset reads out of bounds. The
+# CostMap tests and the record-path goldens (sampling, streams,
+# SameType) run there too: cost maps are sorted vectors merged in place
+# from the back, and profiler activations count into pooled slot tables,
+# so an index slip there also reads or writes out of bounds.
 #
 # Usage: run_asan_service_tests.sh <source-dir> <binary-dir> [jobs]
 set -euo pipefail
@@ -47,6 +51,6 @@ cmake --build "$ASAN_DIR" \
       --target algoprof_service_tests algoprof_tests \
       algoprof_parallel_tests algoprofd algoprof_client -j "$JOBS"
 cd "$ASAN_DIR"
-ctest -R '^(SnapshotMode|InputTable|MultiMeasure|MergeTest)\.|/(AllElements|Eager)Golden\.' \
+ctest -R '^(SnapshotMode|InputTable|MultiMeasure|MergeTest|CostMap)\.|/(AllElements|Eager)Golden\.|/RecordPathGolden' \
       --no-tests=error --output-on-failure -j "$JOBS"
 exec ctest -L service --output-on-failure -j "$JOBS"
