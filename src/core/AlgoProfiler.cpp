@@ -153,7 +153,7 @@ void AlgoProfiler::finalizeTop() {
   // remeasureInputs (paper Sec. 3.4): second snapshot from the last
   // accessed reference of every touched input. Stream pseudo-inputs are
   // sized at each read/write, not by traversal.
-  std::vector<std::pair<int32_t, LiveUse>> &LiveInputs = A.Inputs.sortByKey();
+  auto &LiveInputs = A.Inputs.sortByKey();
   for (auto &[Input, Live] : LiveInputs) {
     if (Inputs.info(Input).IsStream)
       continue;

@@ -216,7 +216,6 @@ TEST(CostMap, MergeShapes) {
   auto Low = Build({{S, 3}, {G1, 4}});
   auto High = Build({{P2, 5}, {W, 6}});
   auto Mixed = Build({{G1T, 7}, {W, 8}});
-  SCOPED_TRACE("merge shapes");
   Check(Empty, Empty);
   Check(Empty, Low);
   Check(Low, Empty);
