@@ -4,8 +4,8 @@
 
 #include "obs/Obs.h"
 
+#include <algorithm>
 #include <cassert>
-#include <deque>
 
 using namespace algoprof;
 using namespace algoprof::bc;
@@ -25,6 +25,10 @@ public:
       : M(M), Method(Method) {}
 
   std::vector<std::string> run();
+
+  /// Deepest operand stack seen by run(), valid when it found no
+  /// problems.
+  int maxDepth() const { return MaxDepth; }
 
 private:
   void error(size_t Pc, const std::string &Message) {
@@ -53,6 +57,7 @@ private:
   const Module &M;
   const MethodInfo &Method;
   std::vector<std::string> Problems;
+  int MaxDepth = 0;
 };
 
 Effect MethodVerifier::effectAt(size_t Pc) {
@@ -210,12 +215,14 @@ std::vector<std::string> MethodVerifier::run() {
   // Stack-depth dataflow: depth at entry of every reachable pc must be
   // unique; no pop may underflow.
   std::vector<int> DepthAt(N, -1);
-  std::deque<size_t> Work;
+  // FIFO worklist; each pc enters it at most once (when its depth is
+  // first set), so a vector read from the front never reallocates.
+  std::vector<size_t> Work;
+  Work.reserve(N);
   DepthAt[0] = 0;
   Work.push_back(0);
-  while (!Work.empty()) {
-    size_t Pc = Work.front();
-    Work.pop_front();
+  for (size_t Next = 0; Next < Work.size(); ++Next) {
+    size_t Pc = Work[Next];
     int Depth = DepthAt[Pc];
     Effect E = effectAt(Pc);
     if (Depth < E.Pops) {
@@ -225,6 +232,7 @@ std::vector<std::string> MethodVerifier::run() {
       continue;
     }
     int After = Depth - E.Pops + E.Pushes;
+    MaxDepth = std::max(MaxDepth, After);
 
     auto Flow = [&](size_t Succ) {
       // Branch targets were range-checked above, and the last
@@ -260,6 +268,11 @@ std::vector<std::string> bc::verifyMethod(const Module &M,
                                           const MethodInfo &Method) {
   MethodVerifier V(M, Method);
   return V.run();
+}
+
+int bc::maxStackDepth(const Module &M, const MethodInfo &Method) {
+  MethodVerifier V(M, Method);
+  return V.run().empty() ? V.maxDepth() : -1;
 }
 
 std::vector<std::string> bc::verifyModule(const Module &M) {

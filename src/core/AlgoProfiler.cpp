@@ -225,6 +225,8 @@ void AlgoProfiler::onProgramStart(const ExecContext &Ctx) {
 }
 
 void AlgoProfiler::onProgramEnd() {
+  obs::addCount(obs::Counter::ListenerEvents, ListenerEvents);
+  ListenerEvents = 0;
   assert(Stack.size() == 1 && "unbalanced repetition events");
   finalizeTop();
 }
@@ -233,20 +235,25 @@ void AlgoProfiler::onProgramEnd() {
 // Loops
 //===----------------------------------------------------------------------===//
 
-std::string AlgoProfiler::loopName(int32_t MethodId, int32_t LoopId) const {
-  const bc::MethodInfo &M = P.M->Methods[static_cast<size_t>(MethodId)];
-  return M.QualifiedName + " loop#" + std::to_string(LoopId);
+RepetitionNode &AlgoProfiler::childOfTop(const RepKey &Key) {
+  RepetitionNode &Parent = *top().Node;
+  if (RepetitionNode *Existing = Parent.findChild(Key))
+    return *Existing;
+  // The name is built only here, once per node.
+  const bc::MethodInfo &M = P.M->Methods[static_cast<size_t>(Key.MethodId)];
+  std::string Name = Key.Kind == RepKind::Loop
+                         ? M.QualifiedName + " loop#" +
+                               std::to_string(Key.LoopId)
+                         : M.QualifiedName + " (recursion)";
+  return Tree.addChild(Parent, Key, std::move(Name));
 }
 
 void AlgoProfiler::onLoopEnter(int32_t MethodId, int32_t LoopId) {
-  RepKey Key{RepKind::Loop, MethodId, LoopId};
-  RepetitionNode &Node =
-      Tree.getOrCreateChild(*top().Node, Key, loopName(MethodId, LoopId));
-  pushOwnedActivation(Node);
+  pushOwnedActivation(childOfTop(RepKey{RepKind::Loop, MethodId, LoopId}));
 }
 
 void AlgoProfiler::onLoopBackEdge(int32_t MethodId, int32_t LoopId) {
-  obs::addCount(obs::Counter::ListenerEvents);
+  ++ListenerEvents;
   Activation &A = top();
   assert((A.Node->Key ==
           RepKey{RepKind::Loop, MethodId, LoopId}) &&
@@ -269,7 +276,7 @@ void AlgoProfiler::onLoopExit(int32_t MethodId, int32_t LoopId) {
 //===----------------------------------------------------------------------===//
 
 void AlgoProfiler::onMethodEnter(int32_t MethodId) {
-  obs::addCount(obs::Counter::ListenerEvents);
+  ++ListenerEvents;
   // findOnPathToRoot: fold a re-entry of an active recursion onto its
   // existing node (paper Sec. 3.2, Method entry).
   RepetitionNode *Found = nullptr;
@@ -295,11 +302,8 @@ void AlgoProfiler::onMethodEnter(int32_t MethodId) {
     return;
   }
 
-  RepKey Key{RepKind::Recursion, MethodId, -1};
-  const bc::MethodInfo &M = P.M->Methods[static_cast<size_t>(MethodId)];
-  RepetitionNode &Node = Tree.getOrCreateChild(
-      *top().Node, Key, M.QualifiedName + " (recursion)");
-  Activation &A = pushOwnedActivation(Node);
+  Activation &A =
+      pushOwnedActivation(childOfTop(RepKey{RepKind::Recursion, MethodId, -1}));
   A.RecursionDepth = 1;
 }
 
@@ -335,13 +339,13 @@ void AlgoProfiler::recordStructureAccess(ObjId Obj, Value Other,
 }
 
 void AlgoProfiler::onGetField(ObjId Obj, int32_t FieldId, Value V) {
-  obs::addCount(obs::Counter::ListenerEvents);
+  ++ListenerEvents;
   (void)FieldId;
   recordStructureAccess(Obj, V, CostKind::StructGet);
 }
 
 void AlgoProfiler::onPutField(ObjId Obj, int32_t FieldId, Value New) {
-  obs::addCount(obs::Counter::ListenerEvents);
+  ++ListenerEvents;
   (void)FieldId;
   // The store has happened: no earlier traversal may be reused for it.
   Inputs.noteHeapWrite();
@@ -358,13 +362,13 @@ void AlgoProfiler::recordArrayAccess(ObjId Arr, CostKind Kind,
 }
 
 void AlgoProfiler::onArrayLoad(ObjId Arr, int64_t Index, Value V) {
-  obs::addCount(obs::Counter::ListenerEvents);
+  ++ListenerEvents;
   (void)Index;
   recordArrayAccess(Arr, CostKind::ArrayLoad, V);
 }
 
 void AlgoProfiler::onArrayStore(ObjId Arr, int64_t Index, Value New) {
-  obs::addCount(obs::Counter::ListenerEvents);
+  ++ListenerEvents;
   (void)Index;
   Inputs.noteHeapWrite();
   recordArrayAccess(Arr, CostKind::ArrayStore, New);

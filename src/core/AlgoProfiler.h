@@ -214,7 +214,9 @@ private:
   void recordStructureAccess(vm::ObjId Obj, vm::Value Other,
                              CostKind Kind);
   void recordArrayAccess(vm::ObjId Arr, CostKind Kind, vm::Value Elem);
-  std::string loopName(int32_t MethodId, int32_t LoopId) const;
+  /// The child of the top activation's node with key \p Key, created
+  /// (and named) on first use.
+  RepetitionNode &childOfTop(const RepKey &Key);
 
   const vm::PreparedProgram &P;
   ProfileOptions Opts;
@@ -227,6 +229,9 @@ private:
   /// rest are finished ones kept for reuse.
   std::vector<std::unique_ptr<Activation>> OwnerPool;
   size_t NumOwned = 0;
+  /// Hot callbacks delivered this run; added to obs::Counter::
+  /// ListenerEvents once, in onProgramEnd.
+  uint64_t ListenerEvents = 0;
 };
 
 } // namespace prof

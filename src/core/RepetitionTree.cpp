@@ -43,9 +43,15 @@ RepetitionNode &RepetitionTree::getOrCreateChild(RepetitionNode &Parent,
                                                  const std::string &Name) {
   if (RepetitionNode *Existing = Parent.findChild(K))
     return *Existing;
+  return addChild(Parent, K, Name);
+}
+
+RepetitionNode &RepetitionTree::addChild(RepetitionNode &Parent,
+                                         const RepKey &K, std::string Name) {
+  assert(!Parent.findChild(K) && "child already present");
   auto Node = std::make_unique<RepetitionNode>();
   Node->Key = K;
-  Node->Name = Name;
+  Node->Name = std::move(Name);
   Node->Parent = &Parent;
   Parent.Children.push_back(std::move(Node));
   obs::addCount(obs::Counter::TreeNodes);

@@ -150,6 +150,11 @@ public:
   RepetitionNode &getOrCreateChild(RepetitionNode &Parent, const RepKey &K,
                                    const std::string &Name);
 
+  /// Appends a new child of \p Parent with key \p K, which must not be
+  /// a child already.
+  RepetitionNode &addChild(RepetitionNode &Parent, const RepKey &K,
+                           std::string Name);
+
   /// Folds the completed shard tree \p Other into this one. Nodes align
   /// by RepKey (static method/loop ids); \p Other's invocation records
   /// are appended after this tree's, with cost-map and input-use ids

@@ -3,8 +3,10 @@
 #include "vm/Interpreter.h"
 
 #include "analysis/Dominators.h"
+#include "bytecode/Verifier.h"
 #include "obs/Obs.h"
 
+#include <algorithm>
 #include <cassert>
 #include <chrono>
 #include <limits>
@@ -88,6 +90,7 @@ PreparedProgram PreparedProgram::prepare(const Module &M) {
     analysis::DominatorTree DT = analysis::computeDominators(PM.Graph);
     PM.Loops = analysis::computeLoops(M.Methods[I], PM.Graph, DT);
     PM.Events = buildLoopEventMap(M.Methods[I], PM.Graph, PM.Loops);
+    PM.MaxStack = bc::maxStackDepth(M, M.Methods[I]);
   }
   P.Calls = analysis::buildCallGraph(M);
   P.RecTypes = analysis::computeRecursiveTypes(M);
@@ -136,22 +139,19 @@ bool evalCmp(Opcode Op, int64_t A, int64_t B) {
   }
 }
 
+/// One activation. Its locals and operand stack live in the run's value
+/// stack (Machine::Values): locals at [Base, Base + NumLocals), the first
+/// NumArgs of them the arguments the caller pushed, which stay in place;
+/// the operand stack above them, at most PreparedMethod::MaxStack deep.
+/// While the frame is on top, exec() holds its pc and stack pointer in
+/// locals; it writes Pc back before anything can observe it and Sp when
+/// the frame makes a call.
 struct Frame {
   const MethodInfo *Method = nullptr;
   const PreparedMethod *Prepared = nullptr;
-  /// Method->Code.data(), cached so the decode loop's fetch is one load.
-  const bc::Instr *Code = nullptr;
+  size_t Base = 0; ///< Values index of local 0.
+  size_t Sp = 0;   ///< Values index one past the operand-stack top.
   int Pc = 0;
-  std::vector<Value> Locals;
-  std::vector<Value> Stack;
-
-  Value pop() {
-    assert(!Stack.empty() && "operand stack underflow");
-    Value V = Stack.back();
-    Stack.pop_back();
-    return V;
-  }
-  void push(Value V) { Stack.push_back(V); }
 };
 
 /// The whole interpreter state for one run, so helpers share it without
@@ -166,11 +166,16 @@ public:
   RunResult run(int32_t EntryMethodId);
 
 private:
-  void enterMethod(int32_t MethodId, std::vector<Value> Args);
+  /// Pushes a frame for \p MethodId whose arguments already sit at
+  /// Values[Base, Base + NumArgs), and fires its entry events. Returns
+  /// false after recording a trap when the method has no operand-stack
+  /// bound (it failed verification).
+  bool enterMethod(int32_t MethodId, size_t Base);
   /// Fires loop exits at the current pc and the method-exit event of the
   /// top frame, then pops it.
   void leaveTopFrame();
-  void fireTransition(const Frame &F, int FromPc, int ToPc);
+  /// Fires the loop events of edge \p Index of the top frame's method.
+  void fireEdge(int32_t Index);
 
   bool trap(const std::string &Message) {
     TrapMessage = Message;
@@ -189,19 +194,23 @@ private:
     return false;
   }
 
+  const std::string &methodName() const {
+    return Frames.back().Method->QualifiedName;
+  }
+
   /// Accounts for one upcoming allocation of \p Bytes model bytes.
   /// Returns false (after recording a BudgetExceeded trap) when the
   /// heap-byte budget would overflow or an injected heap-oom fault is
   /// due at this allocation ordinal. Checked *before* the allocation so
   /// the heap never holds the object that broke the budget.
-  bool chargeAlloc(uint64_t Bytes, const Frame &F) {
+  bool chargeAlloc(uint64_t Bytes) {
     ++AllocCount;
     if (Opts.InjectHeapOomAtAlloc && AllocCount >= Opts.InjectHeapOomAtAlloc) {
       obs::addCount(obs::Counter::FaultsInjected);
       return trapBudget("heap_bytes",
                         "injected heap-oom at allocation " +
                             std::to_string(AllocCount) + " in " +
-                            F.Method->QualifiedName,
+                            methodName(),
                         /*Injected=*/true);
     }
     if (Opts.MaxHeapBytes && H.liveBytes() + Bytes > Opts.MaxHeapBytes)
@@ -210,7 +219,7 @@ private:
                             std::to_string(H.liveBytes()) + " live + " +
                             std::to_string(Bytes) + " requested > " +
                             std::to_string(Opts.MaxHeapBytes) + " in " +
-                            F.Method->QualifiedName);
+                            methodName());
     return true;
   }
 
@@ -223,17 +232,16 @@ private:
             .count());
   }
 
-  /// Returns the heap object behind \p V, or null after recording a
-  /// trap. The verifier checks operand-stack depth, not types, so a
-  /// verified module may still feed integers (or stale ids) to
-  /// reference operands; those must end in a trap, never in an
-  /// out-of-range heap access.
-  HeapObject *deref(const Value &V, const Frame &F) {
-    if (!V.IsRef || !H.isValid(V.ref())) {
-      trap("invalid object reference in " + F.Method->QualifiedName);
-      return nullptr;
-    }
-    return &H.get(V.ref());
+  /// Returns the heap object behind \p V, or null. The verifier checks
+  /// operand-stack depth, not types, so a verified module may still feed
+  /// integers (or stale ids) to reference operands; those must end in a
+  /// trap (invalidRefMessage), never in an out-of-range heap access.
+  HeapObject *deref(const Value &V) {
+    return V.IsRef && H.isValid(V.ref()) ? &H.get(V.ref()) : nullptr;
+  }
+
+  [[gnu::cold, gnu::noinline]] std::string invalidRefMessage() const {
+    return "invalid object reference in " + methodName();
   }
 
   /// Cold path behind the loop's single `Executed >= NextStop` compare:
@@ -270,6 +278,8 @@ private:
   IoChannels &Io;
   RunOptions Opts;
 
+  /// The run's value stack: every frame's locals and operand stack.
+  std::vector<Value> Values;
   std::vector<Frame> Frames;
   uint64_t Executed = 0;
   uint64_t AllocCount = 0; ///< Allocations attempted (1-based ordinal).
@@ -287,34 +297,35 @@ private:
   bool DeadlineOut = false;
   std::string BudgetName;
   std::string TrapMessage;
-  bool WantsInstr = false;
 };
 
 } // namespace
 
-void Machine::enterMethod(int32_t MethodId, std::vector<Value> Args) {
+bool Machine::enterMethod(int32_t MethodId, size_t Base) {
   const MethodInfo &Callee = M.Methods[static_cast<size_t>(MethodId)];
-  Frame F;
-  F.Method = &Callee;
-  F.Prepared = &P.Methods[static_cast<size_t>(MethodId)];
-  F.Code = Callee.Code.data();
-  F.Pc = 0;
-  F.Locals.assign(static_cast<size_t>(Callee.NumLocals), Value::makeInt(0));
-  assert(static_cast<int32_t>(Args.size()) == Callee.NumArgs &&
-         "argument count mismatch");
-  for (size_t I = 0; I < Args.size(); ++I)
-    F.Locals[I] = Args[I];
-  Frames.push_back(std::move(F));
+  const PreparedMethod &PM = P.Methods[static_cast<size_t>(MethodId)];
+  if (PM.MaxStack < 0)
+    return trap("method " + Callee.QualifiedName +
+                " failed verification (no operand-stack bound)");
+  size_t Locals = Base + static_cast<size_t>(Callee.NumLocals);
+  size_t Top = Locals + static_cast<size_t>(PM.MaxStack);
+  if (Top > Values.size())
+    Values.resize(Top);
+  std::fill(Values.begin() + static_cast<ptrdiff_t>(Base) + Callee.NumArgs,
+            Values.begin() + static_cast<ptrdiff_t>(Locals),
+            Value::makeInt(0));
+  Frames.push_back({&Callee, &PM, Base, Locals, 0});
 
   if (L && Plan.methodHook(MethodId))
     L->onMethodEnter(MethodId);
   // A method whose entry pc sits inside a loop (e.g. a body that starts
   // with 'while') logically enters those loops now.
   if (L && !Callee.Code.empty()) {
-    const auto &Chain = Frames.back().Prepared->Events.LoopChainAtPc[0];
+    const auto &Chain = PM.Events.LoopChainAtPc[0];
     for (auto It = Chain.rbegin(); It != Chain.rend(); ++It)
       L->onLoopEnter(MethodId, *It);
   }
+  return true;
 }
 
 void Machine::leaveTopFrame() {
@@ -331,70 +342,107 @@ void Machine::leaveTopFrame() {
   Frames.pop_back();
 }
 
-void Machine::fireTransition(const Frame &F, int FromPc, int ToPc) {
-  const LoopTransition *T = F.Prepared->Events.lookup(FromPc, ToPc);
-  if (!T)
-    return;
+void Machine::fireEdge(int32_t Index) {
+  const Frame &F = Frames.back();
+  const LoopTransition &T =
+      F.Prepared->Events.Edges[static_cast<size_t>(Index)];
   int32_t MethodId = F.Method->Id;
-  for (int32_t Loop : T->Exits)
+  for (int32_t Loop : T.Exits)
     L->onLoopExit(MethodId, Loop);
-  if (T->BackEdge >= 0)
-    L->onLoopBackEdge(MethodId, T->BackEdge);
-  for (int32_t Loop : T->Entries)
+  if (T.BackEdge >= 0)
+    L->onLoopBackEdge(MethodId, T.BackEdge);
+  for (int32_t Loop : T.Entries)
     L->onLoopEnter(MethodId, Loop);
 }
 
+// exec() keeps the top frame's state in locals. VM_SYNC writes back what
+// an observer reads — the pc (trap unwinding fires exits at it) and the
+// instruction count (RunResult::InstrCount) — before every call out of
+// the loop that can trap, throw or reach the listener. VM_LOAD reloads
+// the locals after the frame stack changed.
+#define VM_SYNC() (F->Pc = Pc, Executed = Count)
+
+#define VM_LOAD()                                                             \
+  do {                                                                        \
+    F = &Frames.back();                                                       \
+    Code = F->Method->Code.data();                                            \
+    Pc = F->Pc;                                                               \
+    Locals = Values.data() + F->Base;                                         \
+    Sp = Values.data() + F->Sp;                                               \
+    Fall = F->Prepared->Events.Fall.data();                                   \
+    Taken = F->Prepared->Events.Taken.data();                                 \
+  } while (0)
+
 #define VM_TRAP(Msg)                                                          \
   do {                                                                        \
+    VM_SYNC();                                                                \
     trap(Msg);                                                                \
     return;                                                                   \
   } while (0)
 
-// Handler protocol: fall-through and branch handlers set NextPc and
-// `break` to the shared advance, which fires the loop-event transition
-// Pc -> NextPc and moves the pc. Call and return handlers adjust Frames
-// themselves and `continue` (calls fire no transition, returns fire
-// CallPc -> CallPc+1 in the caller). Trap paths record the trap and
-// `return` (VM_TRAP).
+// Handler protocol: fall-through handlers `break` to the shared advance,
+// which fires the edge in Fall[pc] and moves to pc+1; taken branches
+// `goto Jump`, which fires Taken[pc] and moves to the target. A call
+// enters the callee and `continue`s at its pc 0; a return reloads the
+// caller, still at its call pc, and `break`s to the shared advance. Trap
+// paths record the trap and `return` (VM_TRAP).
 void Machine::exec() {
+  ExecutionListener *const Lis = L;
+  const bool WantsInstr = L && L->wantsInstructionEvents();
+  uint64_t Count = Executed;
+  uint64_t Stop = NextStop;
+  Frame *F = nullptr;
+  const Instr *Code = nullptr;
+  int Pc = 0;
+  Value *Locals = nullptr;
+  Value *Sp = nullptr;
+  const int32_t *Fall = nullptr;
+  const int32_t *Taken = nullptr;
+  VM_LOAD();
+
   for (;;) {
     // One compare on the hot path; onStop (cold) sorts out fuel
     // exhaustion and the deadline.
-    if (Executed >= NextStop && !onStop())
-      return;
-    Frame &F = Frames.back();
-    const Instr &I = F.Code[F.Pc];
-    ++Executed;
-    if (WantsInstr)
-      L->onInstruction(F.Method->Id, F.Pc);
-    int NextPc = F.Pc + 1;
+    if (Count >= Stop) {
+      VM_SYNC();
+      if (!onStop())
+        return;
+      Stop = NextStop;
+    }
+    const Instr &I = Code[Pc];
+    ++Count;
+    if (WantsInstr) {
+      VM_SYNC();
+      Lis->onInstruction(F->Method->Id, Pc);
+    }
 
     switch (I.Op) {
     case Opcode::Nop:
       break;
 
     case Opcode::IConst:
-      F.push(Value::makeInt(I.Imm));
+      *Sp++ = Value::makeInt(I.Imm);
       break;
 
     case Opcode::NullConst:
-      F.push(Value::makeNull());
+      *Sp++ = Value::makeNull();
       break;
 
     case Opcode::Load:
-      F.push(F.Locals[static_cast<size_t>(I.A)]);
+      *Sp++ = Locals[I.A];
       break;
 
     case Opcode::Store:
-      F.Locals[static_cast<size_t>(I.A)] = F.pop();
+      Locals[I.A] = *--Sp;
       break;
 
     case Opcode::Dup:
-      F.push(F.Stack.back());
+      *Sp = Sp[-1];
+      ++Sp;
       break;
 
     case Opcode::Pop:
-      F.pop();
+      --Sp;
       break;
 
     case Opcode::Add:
@@ -402,8 +450,8 @@ void Machine::exec() {
     case Opcode::Mul:
     case Opcode::Div:
     case Opcode::Rem: {
-      int64_t B = F.pop().Bits;
-      int64_t A = F.pop().Bits;
+      int64_t B = (--Sp)->Bits;
+      int64_t A = Sp[-1].Bits;
       int64_t R = 0;
       if (I.Op == Opcode::Add)
         R = wrapAdd(A, B);
@@ -413,7 +461,7 @@ void Machine::exec() {
         R = wrapMul(A, B);
       else {
         if (B == 0)
-          VM_TRAP("division by zero in " + F.Method->QualifiedName);
+          VM_TRAP("division by zero in " + F->Method->QualifiedName);
         // INT64_MIN / -1 overflows (and SIGFPEs on x86); Java defines
         // the quotient as INT64_MIN and the remainder as 0.
         if (A == std::numeric_limits<int64_t>::min() && B == -1)
@@ -421,16 +469,16 @@ void Machine::exec() {
         else
           R = I.Op == Opcode::Div ? A / B : A % B;
       }
-      F.push(Value::makeInt(R));
+      Sp[-1] = Value::makeInt(R);
       break;
     }
 
     case Opcode::Neg:
-      F.push(Value::makeInt(wrapNeg(F.pop().Bits)));
+      Sp[-1] = Value::makeInt(wrapNeg(Sp[-1].Bits));
       break;
 
     case Opcode::Not:
-      F.push(Value::makeBool(F.pop().Bits == 0));
+      Sp[-1] = Value::makeBool(Sp[-1].Bits == 0);
       break;
 
     case Opcode::CmpLt:
@@ -439,184 +487,197 @@ void Machine::exec() {
     case Opcode::CmpGe:
     case Opcode::CmpEq:
     case Opcode::CmpNe: {
-      int64_t B = F.pop().Bits;
-      int64_t A = F.pop().Bits;
-      F.push(Value::makeBool(evalCmp(I.Op, A, B)));
+      int64_t B = (--Sp)->Bits;
+      int64_t A = Sp[-1].Bits;
+      Sp[-1] = Value::makeBool(evalCmp(I.Op, A, B));
       break;
     }
 
     case Opcode::RefEq:
     case Opcode::RefNe: {
-      Value B = F.pop();
-      Value A = F.pop();
+      Value B = *--Sp;
+      Value A = Sp[-1];
       bool Eq = A.Bits == B.Bits && A.IsRef == B.IsRef;
-      F.push(Value::makeBool(I.Op == Opcode::RefEq ? Eq : !Eq));
+      Sp[-1] = Value::makeBool(I.Op == Opcode::RefEq ? Eq : !Eq);
       break;
     }
 
     case Opcode::Goto:
-      NextPc = I.A;
-      break;
+      goto Jump;
 
     case Opcode::IfTrue:
-      if (F.pop().Bits != 0)
-        NextPc = I.A;
+      if ((--Sp)->Bits != 0)
+        goto Jump;
       break;
 
     case Opcode::IfFalse:
-      if (F.pop().Bits == 0)
-        NextPc = I.A;
+      if ((--Sp)->Bits == 0)
+        goto Jump;
       break;
 
     case Opcode::GetField: {
-      Value Obj = F.pop();
+      Value Obj = Sp[-1];
       if (Obj.isNullRef())
         VM_TRAP("null dereference reading field " +
                 M.Fields[static_cast<size_t>(I.A)].Name + " in " +
-                F.Method->QualifiedName);
-      HeapObject *O = deref(Obj, F);
+                F->Method->QualifiedName);
+      HeapObject *O = deref(Obj);
       if (!O)
-        return;
+        VM_TRAP(invalidRefMessage());
       const FieldInfo &Field = M.Fields[static_cast<size_t>(I.A)];
       if (Field.Slot < 0 ||
           Field.Slot >= static_cast<int32_t>(O->Slots.size()))
         VM_TRAP("field " + Field.Name + " not present on receiver in " +
-                F.Method->QualifiedName);
+                F->Method->QualifiedName);
       Value V = O->Slots[static_cast<size_t>(Field.Slot)];
-      F.push(V);
-      if (L && Plan.fieldHook(I.A))
-        L->onGetField(Obj.ref(), I.A, V);
+      Sp[-1] = V;
+      if (Lis && Plan.fieldHook(I.A)) {
+        VM_SYNC();
+        Lis->onGetField(Obj.ref(), I.A, V);
+      }
       break;
     }
 
     case Opcode::PutField: {
-      Value V = F.pop();
-      Value Obj = F.pop();
+      Value V = Sp[-1];
+      Value Obj = Sp[-2];
+      Sp -= 2;
       if (Obj.isNullRef())
         VM_TRAP("null dereference writing field " +
                 M.Fields[static_cast<size_t>(I.A)].Name + " in " +
-                F.Method->QualifiedName);
-      HeapObject *O = deref(Obj, F);
+                F->Method->QualifiedName);
+      HeapObject *O = deref(Obj);
       if (!O)
-        return;
+        VM_TRAP(invalidRefMessage());
       const FieldInfo &Field = M.Fields[static_cast<size_t>(I.A)];
       if (Field.Slot < 0 ||
           Field.Slot >= static_cast<int32_t>(O->Slots.size()))
         VM_TRAP("field " + Field.Name + " not present on receiver in " +
-                F.Method->QualifiedName);
+                F->Method->QualifiedName);
       O->Slots[static_cast<size_t>(Field.Slot)] = V;
-      if (L && Plan.fieldHook(I.A))
-        L->onPutField(Obj.ref(), I.A, V);
+      if (Lis && Plan.fieldHook(I.A)) {
+        VM_SYNC();
+        Lis->onPutField(Obj.ref(), I.A, V);
+      }
       break;
     }
 
     case Opcode::ALoad: {
-      Value Idx = F.pop();
-      Value Arr = F.pop();
+      Value Idx = Sp[-1];
+      Value Arr = Sp[-2];
+      --Sp;
       if (Arr.isNullRef())
-        VM_TRAP("null array load in " + F.Method->QualifiedName);
-      HeapObject *A = deref(Arr, F);
+        VM_TRAP("null array load in " + F->Method->QualifiedName);
+      HeapObject *A = deref(Arr);
       if (!A)
-        return;
+        VM_TRAP(invalidRefMessage());
       if (Idx.Bits < 0 || Idx.Bits >= static_cast<int64_t>(A->Slots.size()))
         VM_TRAP("array index " + std::to_string(Idx.Bits) +
                 " out of bounds (length " + std::to_string(A->Slots.size()) +
-                ") in " + F.Method->QualifiedName);
+                ") in " + F->Method->QualifiedName);
       Value V = A->Slots[static_cast<size_t>(Idx.Bits)];
-      F.push(V);
-      if (L && Plan.ArrayHooks)
-        L->onArrayLoad(Arr.ref(), Idx.Bits, V);
+      Sp[-1] = V;
+      if (Lis && Plan.ArrayHooks) {
+        VM_SYNC();
+        Lis->onArrayLoad(Arr.ref(), Idx.Bits, V);
+      }
       break;
     }
 
     case Opcode::AStore: {
-      Value V = F.pop();
-      Value Idx = F.pop();
-      Value Arr = F.pop();
+      Value V = Sp[-1];
+      Value Idx = Sp[-2];
+      Value Arr = Sp[-3];
+      Sp -= 3;
       if (Arr.isNullRef())
-        VM_TRAP("null array store in " + F.Method->QualifiedName);
-      HeapObject *A = deref(Arr, F);
+        VM_TRAP("null array store in " + F->Method->QualifiedName);
+      HeapObject *A = deref(Arr);
       if (!A)
-        return;
+        VM_TRAP(invalidRefMessage());
       if (Idx.Bits < 0 || Idx.Bits >= static_cast<int64_t>(A->Slots.size()))
         VM_TRAP("array index " + std::to_string(Idx.Bits) +
                 " out of bounds (length " + std::to_string(A->Slots.size()) +
-                ") in " + F.Method->QualifiedName);
+                ") in " + F->Method->QualifiedName);
       A->Slots[static_cast<size_t>(Idx.Bits)] = V;
-      if (L && Plan.ArrayHooks)
-        L->onArrayStore(Arr.ref(), Idx.Bits, V);
+      if (Lis && Plan.ArrayHooks) {
+        VM_SYNC();
+        Lis->onArrayStore(Arr.ref(), Idx.Bits, V);
+      }
       break;
     }
 
     case Opcode::ArrayLen: {
-      Value Arr = F.pop();
+      Value Arr = Sp[-1];
       if (Arr.isNullRef())
-        VM_TRAP("null array length in " + F.Method->QualifiedName);
-      HeapObject *A = deref(Arr, F);
+        VM_TRAP("null array length in " + F->Method->QualifiedName);
+      HeapObject *A = deref(Arr);
       if (!A)
-        return;
-      F.push(Value::makeInt(static_cast<int64_t>(A->Slots.size())));
+        VM_TRAP(invalidRefMessage());
+      Sp[-1] = Value::makeInt(static_cast<int64_t>(A->Slots.size()));
       break;
     }
 
     case Opcode::NewObject: {
       const ClassInfo &C = M.Classes[static_cast<size_t>(I.A)];
-      if (!chargeAlloc(Heap::bytesFor(C.FieldIds.size()), F))
+      VM_SYNC();
+      if (!chargeAlloc(Heap::bytesFor(C.FieldIds.size())))
         return;
       ObjId Obj = H.allocObject(I.A);
-      F.push(Value::makeRef(Obj));
-      if (L && Plan.allocHook(I.A))
-        L->onNewObject(Obj, I.A);
+      *Sp++ = Value::makeRef(Obj);
+      if (Lis && Plan.allocHook(I.A))
+        Lis->onNewObject(Obj, I.A);
       break;
     }
 
     case Opcode::NewArray: {
-      Value Len = F.pop();
+      Value Len = Sp[-1];
       if (Len.Bits < 0)
         VM_TRAP("negative array length " + std::to_string(Len.Bits) +
-                " in " + F.Method->QualifiedName);
+                " in " + F->Method->QualifiedName);
       if (Len.Bits > Opts.MaxArrayLength)
         VM_TRAP("array length " + std::to_string(Len.Bits) +
                 " exceeds limit " + std::to_string(Opts.MaxArrayLength) +
-                " in " + F.Method->QualifiedName);
-      if (!chargeAlloc(Heap::bytesFor(static_cast<uint64_t>(Len.Bits)), F))
+                " in " + F->Method->QualifiedName);
+      VM_SYNC();
+      if (!chargeAlloc(Heap::bytesFor(static_cast<uint64_t>(Len.Bits))))
         return;
       ObjId Arr = H.allocArray(I.A, Len.Bits);
-      F.push(Value::makeRef(Arr));
-      if (L && Plan.ArrayHooks)
-        L->onNewArray(Arr, I.A, Len.Bits);
+      Sp[-1] = Value::makeRef(Arr);
+      if (Lis && Plan.ArrayHooks)
+        Lis->onNewArray(Arr, I.A, Len.Bits);
       break;
     }
 
     case Opcode::NewMulti: {
-      Value Inner = F.pop();
-      Value Outer = F.pop();
+      Value Inner = Sp[-1];
+      Value Outer = Sp[-2];
+      --Sp;
       if (Outer.Bits < 0 || Inner.Bits < 0)
-        VM_TRAP("negative array length in " + F.Method->QualifiedName);
+        VM_TRAP("negative array length in " + F->Method->QualifiedName);
       if (Outer.Bits > Opts.MaxArrayLength ||
           Inner.Bits > Opts.MaxArrayLength ||
           (Inner.Bits > 0 && Outer.Bits > Opts.MaxArrayLength / Inner.Bits))
         VM_TRAP("multi-array dimensions " + std::to_string(Outer.Bits) + "x" +
                 std::to_string(Inner.Bits) + " exceed limit " +
                 std::to_string(Opts.MaxArrayLength) + " in " +
-                F.Method->QualifiedName);
+                F->Method->QualifiedName);
       TypeId OuterTy = I.A;
       TypeId InnerTy = M.Types[static_cast<size_t>(OuterTy)].Elem;
-      if (!chargeAlloc(Heap::bytesFor(static_cast<uint64_t>(Outer.Bits)), F))
+      VM_SYNC();
+      if (!chargeAlloc(Heap::bytesFor(static_cast<uint64_t>(Outer.Bits))))
         return;
       ObjId Arr = H.allocArray(OuterTy, Outer.Bits);
-      if (L && Plan.ArrayHooks)
-        L->onNewArray(Arr, OuterTy, Outer.Bits);
+      if (Lis && Plan.ArrayHooks)
+        Lis->onNewArray(Arr, OuterTy, Outer.Bits);
       for (int64_t Row = 0; Row < Outer.Bits; ++Row) {
-        if (!chargeAlloc(Heap::bytesFor(static_cast<uint64_t>(Inner.Bits)),
-                         F))
+        if (!chargeAlloc(Heap::bytesFor(static_cast<uint64_t>(Inner.Bits))))
           return;
         ObjId RowArr = H.allocArray(InnerTy, Inner.Bits);
         H.get(Arr).Slots[static_cast<size_t>(Row)] = Value::makeRef(RowArr);
-        if (L && Plan.ArrayHooks)
-          L->onNewArray(RowArr, InnerTy, Inner.Bits);
+        if (Lis && Plan.ArrayHooks)
+          Lis->onNewArray(RowArr, InnerTy, Inner.Bits);
       }
-      F.push(Value::makeRef(Arr));
+      Sp[-1] = Value::makeRef(Arr);
       break;
     }
 
@@ -631,21 +692,21 @@ void Machine::exec() {
         int32_t Slot = I.A;
         int32_t Arity = M.Methods[static_cast<size_t>(I.B)].NumArgs;
         assert(Arity > 0 && "virtual call without a receiver slot");
-        Value Recv = F.Stack[F.Stack.size() - static_cast<size_t>(Arity)];
+        Value Recv = Sp[-Arity];
         if (Recv.isNullRef())
-          VM_TRAP("null receiver in call from " + F.Method->QualifiedName);
-        HeapObject *O = deref(Recv, F);
+          VM_TRAP("null receiver in call from " + F->Method->QualifiedName);
+        HeapObject *O = deref(Recv);
         if (!O)
-          return;
+          VM_TRAP(invalidRefMessage());
         int32_t RecvClass = O->ClassId;
         if (RecvClass < 0 ||
             RecvClass >= static_cast<int32_t>(M.Classes.size()))
           VM_TRAP("virtual call on non-object receiver in " +
-                  F.Method->QualifiedName);
+                  F->Method->QualifiedName);
         const ClassInfo &C = M.Classes[static_cast<size_t>(RecvClass)];
         if (Slot < 0 || Slot >= static_cast<int32_t>(C.Vtable.size()))
           VM_TRAP("receiver class " + C.Name + " lacks virtual slot " +
-                  std::to_string(Slot) + " in " + F.Method->QualifiedName);
+                  std::to_string(Slot) + " in " + F->Method->QualifiedName);
         MethodId = C.Vtable[static_cast<size_t>(Slot)];
         if (MethodId < 0 ||
             MethodId >= static_cast<int32_t>(M.Methods.size()))
@@ -659,17 +720,20 @@ void Machine::exec() {
         if (Target.NumArgs != Declared.NumArgs ||
             Target.ReturnsValue != Declared.ReturnsValue)
           VM_TRAP("virtual dispatch signature mismatch calling " +
-                  Target.QualifiedName + " in " + F.Method->QualifiedName);
+                  Target.QualifiedName + " in " + F->Method->QualifiedName);
       }
       const MethodInfo &Callee = M.Methods[static_cast<size_t>(MethodId)];
       if (static_cast<int>(Frames.size()) >= Opts.MaxFrames)
         VM_TRAP("call stack overflow calling " + Callee.QualifiedName);
-      std::vector<Value> Args(static_cast<size_t>(Callee.NumArgs));
-      for (int32_t A = Callee.NumArgs - 1; A >= 0; --A)
-        Args[static_cast<size_t>(A)] = F.pop();
-      // The caller's pc stays at the call site; the return handler
-      // advances it. enterMethod may reallocate Frames, invalidating F.
-      enterMethod(MethodId, std::move(Args));
+      // The arguments stay where the caller pushed them and become the
+      // callee's first locals. The caller's pc stays at the call site;
+      // the return handler advances it.
+      F->Sp = static_cast<size_t>(Sp - Values.data()) -
+              static_cast<size_t>(Callee.NumArgs);
+      VM_SYNC();
+      if (!enterMethod(MethodId, F->Sp))
+        return;
+      VM_LOAD();
       continue;
     }
 
@@ -678,51 +742,64 @@ void Machine::exec() {
       bool HaveRV = I.Op == Opcode::RetVal;
       Value RV;
       if (HaveRV)
-        RV = F.pop();
+        RV = Sp[-1];
+      VM_SYNC();
       leaveTopFrame();
       if (Frames.empty())
         return; // Normal program completion.
-      Frame &Caller = Frames.back();
-      int CallPc = Caller.Pc;
+      VM_LOAD();
       if (HaveRV)
-        Caller.push(RV);
-      Caller.Pc = CallPc + 1;
-      if (L)
-        fireTransition(Caller, CallPc, Caller.Pc);
-      continue;
+        *Sp++ = RV;
+      break; // The caller advances past its call site.
     }
 
     case Opcode::Print: {
-      Value V = F.pop();
+      Value V = *--Sp;
+      VM_SYNC();
       Io.Output.push_back(V.Bits);
-      if (L && Plan.IoHooks)
-        L->onOutputWrite();
+      if (Lis && Plan.IoHooks)
+        Lis->onOutputWrite();
       break;
     }
 
     case Opcode::ReadInt: {
       if (!Io.hasInput())
-        VM_TRAP("input exhausted in " + F.Method->QualifiedName);
-      F.push(Value::makeInt(Io.Input[Io.InputPos++]));
-      if (L && Plan.IoHooks)
-        L->onInputRead();
+        VM_TRAP("input exhausted in " + F->Method->QualifiedName);
+      *Sp++ = Value::makeInt(Io.Input[Io.InputPos++]);
+      if (Lis && Plan.IoHooks) {
+        VM_SYNC();
+        Lis->onInputRead();
+      }
       break;
     }
 
     case Opcode::HasInput:
-      F.push(Value::makeBool(Io.hasInput()));
+      *Sp++ = Value::makeBool(Io.hasInput());
       break;
 
     case Opcode::Trap:
-      VM_TRAP("explicit trap in " + F.Method->QualifiedName);
+      VM_TRAP("explicit trap in " + F->Method->QualifiedName);
     }
 
-    if (L)
-      fireTransition(F, F.Pc, NextPc);
-    F.Pc = NextPc;
+    // Fall-through advance.
+    if (Lis && Fall[Pc] >= 0) {
+      VM_SYNC();
+      fireEdge(Fall[Pc]);
+    }
+    ++Pc;
+    continue;
+
+  Jump:
+    if (Lis && Taken[Pc] >= 0) {
+      VM_SYNC();
+      fireEdge(Taken[Pc]);
+    }
+    Pc = I.A;
   }
 }
 
+#undef VM_LOAD
+#undef VM_SYNC
 #undef VM_TRAP
 
 RunResult Machine::run(int32_t EntryMethodId) {
@@ -731,7 +808,6 @@ RunResult Machine::run(int32_t EntryMethodId) {
          "entry must be a static no-arg method");
   (void)Entry;
 
-  WantsInstr = L && L->wantsInstructionEvents();
   if (L) {
     ExecContext Ctx;
     Ctx.Module = &M;
@@ -739,8 +815,6 @@ RunResult Machine::run(int32_t EntryMethodId) {
     Ctx.Io = &Io;
     L->onProgramStart(Ctx);
   }
-
-  enterMethod(EntryMethodId, {});
 
   // Guard thresholds, in units of Executed.
   constexpr uint64_t Never = std::numeric_limits<uint64_t>::max();
@@ -751,7 +825,8 @@ RunResult Machine::run(int32_t EntryMethodId) {
   RunResult R;
   bool BadAlloc = false;
   try {
-    exec();
+    if (enterMethod(EntryMethodId, 0))
+      exec();
   } catch (const std::bad_alloc &) {
     // Safety net for hosts that run without MaxHeapBytes (or for
     // allocator failure below the modelled budget): degrade to the same

@@ -3,8 +3,9 @@
 /// \file
 /// The AlgoProf VM: a stack-machine interpreter over bc::Module with an
 /// instrumentation-event surface (vm/Hooks.h). PreparedProgram bundles
-/// the per-method static artifacts (CFG, natural loops, loop-event maps)
-/// and the module-level analyses the profilers need.
+/// the per-method static artifacts (CFG, natural loops, loop-event
+/// slots, operand-stack bounds) and the module-level analyses the
+/// profilers need.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,6 +43,9 @@ struct PreparedMethod {
   analysis::Cfg Graph;
   analysis::LoopInfo Loops;
   LoopEventMap Events;
+  /// Operand-stack bound (bc::maxStackDepth), or -1 when the method
+  /// failed verification; the VM then traps on entry to it.
+  int MaxStack = -1;
 };
 
 /// A module plus everything the VM and profilers need to run it.
@@ -122,12 +126,14 @@ struct RunOptions {
 /// Heap::recycle() reclaims memory while keeping ids fresh).
 ///
 /// Thread-safety / re-entrancy: an Interpreter holds no state besides a
-/// reference to the immutable PreparedProgram and its private heap — all
-/// per-run machinery (frames, operand stacks, pc) lives on run()'s
-/// stack. A single Interpreter must not run twice concurrently (one
-/// heap), but any number of Interpreter instances may run in parallel
-/// over one shared PreparedProgram, each with its own IoChannels and
-/// listener. This is what parallel::SweepEngine relies on.
+/// reference to the immutable PreparedProgram and its private heap. All
+/// per-run state — the value stack that holds every frame's locals and
+/// operands, the frame stack, the instruction count — lives in the
+/// run's own Machine, which run() creates and destroys. A single
+/// Interpreter must not run twice concurrently (one heap), but any
+/// number of Interpreter instances may run in parallel over one shared
+/// PreparedProgram, each with its own IoChannels and listener. This is
+/// what parallel::SweepEngine relies on.
 class Interpreter {
 public:
   explicit Interpreter(const PreparedProgram &P) : P(P), TheHeap(*P.M) {}

@@ -13,7 +13,8 @@ LoopEventMap algoprof::vm::buildLoopEventMap(const bc::MethodInfo &Method,
                                              const LoopInfo &LI) {
   LoopEventMap LEM;
   size_t CodeLen = Method.Code.size();
-  LEM.InterestingTarget.assign(CodeLen, 0);
+  LEM.Fall.assign(CodeLen, -1);
+  LEM.Taken.assign(CodeLen, -1);
   LEM.LoopChainAtPc.resize(CodeLen);
 
   for (size_t Pc = 0; Pc < CodeLen; ++Pc)
@@ -21,8 +22,15 @@ LoopEventMap algoprof::vm::buildLoopEventMap(const bc::MethodInfo &Method,
 
   for (const BasicBlock &From : G.Blocks) {
     int FromPc = From.End - 1;
+    const bc::Instr &Last = Method.Code[static_cast<size_t>(FromPc)];
     for (int ToBlock : From.Succs) {
       int ToPc = G.Blocks[static_cast<size_t>(ToBlock)].Begin;
+      // A conditional branch to pc+1 reaches the same block both ways:
+      // both slots name the one edge.
+      bool ViaFall = ToPc == From.End && Last.Op != bc::Opcode::Goto;
+      bool ViaTaken = bc::isBranch(Last.Op) && Last.A == ToPc;
+      if ((ViaFall ? LEM.Fall : LEM.Taken)[static_cast<size_t>(FromPc)] >= 0)
+        continue; // The same edge listed twice among the successors.
       LoopTransition T;
 
       // Exits: loops containing the source but not the target,
@@ -50,9 +58,12 @@ LoopEventMap algoprof::vm::buildLoopEventMap(const bc::MethodInfo &Method,
 
       if (T.Exits.empty() && T.BackEdge < 0 && T.Entries.empty())
         continue;
-      LEM.InterestingTarget[static_cast<size_t>(ToPc)] = 1;
-      LEM.Transitions[(static_cast<int64_t>(FromPc) << 32) | ToPc] =
-          std::move(T);
+      int32_t Index = static_cast<int32_t>(LEM.Edges.size());
+      LEM.Edges.push_back(std::move(T));
+      if (ViaFall)
+        LEM.Fall[static_cast<size_t>(FromPc)] = Index;
+      if (ViaTaken)
+        LEM.Taken[static_cast<size_t>(FromPc)] = Index;
     }
   }
   return LEM;

@@ -1,12 +1,14 @@
 //===- vm/LoopEventMap.h - Control-transfer loop events ---------*- C++-*-===//
 ///
 /// \file
-/// Precomputed loop events per control transfer. The interpreter fires
-/// loop enter / back edge / exit callbacks by consulting this map on
-/// every pc advance whose target is marked interesting — the dynamic
-/// equivalent of the paper's loop-entry/exit/back-edge bytecode
-/// instrumentation, derived from the recovered natural loops rather than
-/// from front-end structure.
+/// Precomputed loop events per control transfer. Every pc has two slots,
+/// one for its fall-through edge and one for its branch edge; a slot
+/// names the loop enter / back edge / exit events of that edge, or is -1
+/// when the edge crosses no loop boundary. The interpreter tests the slot
+/// of each advance inline — the dynamic equivalent of the paper's
+/// loop-entry/exit/back-edge bytecode instrumentation, which sits only on
+/// the edges that cross a loop boundary. Loops come from the recovered
+/// natural loops rather than from front-end structure.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -16,13 +18,12 @@
 #include "analysis/Cfg.h"
 #include "analysis/Loops.h"
 
-#include <unordered_map>
 #include <vector>
 
 namespace algoprof {
 namespace vm {
 
-/// Events attached to one (from-pc, to-pc) control transfer. Loop ids are
+/// Events attached to one control transfer (a CFG edge). Loop ids are
 /// indices into the method's analysis::LoopInfo.
 struct LoopTransition {
   std::vector<int32_t> Exits;   ///< Innermost-first.
@@ -33,23 +34,20 @@ struct LoopTransition {
 /// Loop-event tables for one method.
 class LoopEventMap {
 public:
-  /// Per pc: some transfer *into* this pc carries events.
-  std::vector<char> InterestingTarget;
+  /// Per pc: index into Edges of the events on pc -> pc+1 (a fall-through,
+  /// or the return to the instruction after a call), or -1.
+  std::vector<int32_t> Fall;
 
-  /// Keyed by (FromPc << 32) | ToPc.
-  std::unordered_map<int64_t, LoopTransition> Transitions;
+  /// Per pc: index into Edges of the events on pc -> its branch target,
+  /// or -1. Set only on branches.
+  std::vector<int32_t> Taken;
+
+  /// The events of every edge that carries any.
+  std::vector<LoopTransition> Edges;
 
   /// Per pc: loops containing the pc, innermost first. Used on method
   /// entry (pc 0), on returns, and when unwinding a trap.
   std::vector<std::vector<int32_t>> LoopChainAtPc;
-
-  /// Returns the transition for from->to, or null when it has no events.
-  const LoopTransition *lookup(int FromPc, int ToPc) const {
-    if (!InterestingTarget[static_cast<size_t>(ToPc)])
-      return nullptr;
-    auto It = Transitions.find((static_cast<int64_t>(FromPc) << 32) | ToPc);
-    return It == Transitions.end() ? nullptr : &It->second;
-  }
 };
 
 /// Builds the loop-event tables of one method.

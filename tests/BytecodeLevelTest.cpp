@@ -6,6 +6,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "bytecode/Verifier.h"
 #include "vm/Interpreter.h"
 
 #include <gtest/gtest.h>
@@ -207,6 +208,89 @@ TEST(BytecodeLevel, NewArrayAndAccess) {
   std::vector<int64_t> Out;
   ASSERT_TRUE(runTiny(T, Out).ok());
   EXPECT_EQ(Out, (std::vector<int64_t>{45}));
+}
+
+TEST(BytecodeLevel, InconsistentStackDepthTrapsOnEntry) {
+  // The two paths into pc 4 arrive with different stack depths, so f has
+  // no operand-stack bound: the verifier rejects it, and a run that
+  // calls it anyway traps on entry instead of overrunning the stack.
+  TinyModule T({
+      /*0*/ {Opcode::IConst, 0, 0, 1},
+      /*1*/ {Opcode::IfFalse, 4, 0, 0},
+      /*2*/ {Opcode::IConst, 0, 0, 5},
+      /*3*/ {Opcode::Goto, 4, 0, 0},
+      /*4*/ {Opcode::IConst, 0, 0, 7},
+      /*5*/ {Opcode::RetVal, 0, 0, 0},
+  });
+  EXPECT_FALSE(verifyModule(T.M).empty());
+  EXPECT_EQ(maxStackDepth(T.M, T.M.Methods[0]), -1);
+  EXPECT_GE(maxStackDepth(T.M, T.M.Methods[1]), 1);
+
+  std::vector<int64_t> Out;
+  RunResult R = runTiny(T, Out);
+  EXPECT_EQ(R.Status, RunStatus::Trapped);
+  EXPECT_NE(R.TrapMessage.find("T.f failed verification"), std::string::npos)
+      << R.TrapMessage;
+  EXPECT_EQ(R.InstrCount, 1u); // Only main's call ran.
+  EXPECT_TRUE(Out.empty());
+}
+
+TEST(BytecodeLevel, MaxStackDepthIsTheDeepestPoint) {
+  TinyModule T({
+      {Opcode::IConst, 0, 0, 1},
+      {Opcode::IConst, 0, 0, 2},
+      {Opcode::Dup, 0, 0, 0}, // Depth 3 here.
+      {Opcode::Add, 0, 0, 0},
+      {Opcode::Add, 0, 0, 0},
+      {Opcode::RetVal, 0, 0, 0},
+  });
+  EXPECT_TRUE(verifyModule(T.M).empty());
+  EXPECT_EQ(maxStackDepth(T.M, T.M.Methods[0]), 3);
+  EXPECT_EQ(maxStackDepth(T.M, T.M.Methods[1]), 1);
+  std::vector<int64_t> Out;
+  ASSERT_TRUE(runTiny(T, Out).ok());
+  EXPECT_EQ(Out, (std::vector<int64_t>{5}));
+}
+
+TEST(BytecodeLevel, SingleBlockLoopFiresBackEdgeOnItsTakenSlot) {
+  // x = 3; do { x = x - 1; } while (x != 0): pcs 2..7 are one block
+  // whose branch jumps to its own first pc, a shape the compiler never
+  // emits. The self edge is the back edge and sits in Taken[7].
+  TinyModule T({
+      /*0*/ {Opcode::IConst, 0, 0, 3},
+      /*1*/ {Opcode::Store, 0, 0, 0},
+      /*2*/ {Opcode::Load, 0, 0, 0},
+      /*3*/ {Opcode::IConst, 0, 0, 1},
+      /*4*/ {Opcode::Sub, 0, 0, 0},
+      /*5*/ {Opcode::Dup, 0, 0, 0},
+      /*6*/ {Opcode::Store, 0, 0, 0},
+      /*7*/ {Opcode::IfTrue, 2, 0, 0},
+      /*8*/ {Opcode::Load, 0, 0, 0},
+      /*9*/ {Opcode::RetVal, 0, 0, 0},
+  });
+  ASSERT_TRUE(verifyModule(T.M).empty());
+  PreparedProgram P = PreparedProgram::prepare(T.M);
+  const LoopEventMap &LEM = P.Methods[0].Events;
+  ASSERT_GE(LEM.Taken[7], 0);
+  EXPECT_EQ(LEM.Edges[static_cast<size_t>(LEM.Taken[7])].BackEdge, 0);
+  ASSERT_GE(LEM.Fall[7], 0); // Leaving the loop.
+  EXPECT_EQ(LEM.Edges[static_cast<size_t>(LEM.Fall[7])].Exits,
+            (std::vector<int32_t>{0}));
+
+  struct Counter : ExecutionListener {
+    int Enters = 0, BackEdges = 0, Exits = 0;
+    void onLoopEnter(int32_t, int32_t) override { ++Enters; }
+    void onLoopBackEdge(int32_t, int32_t) override { ++BackEdges; }
+    void onLoopExit(int32_t, int32_t) override { ++Exits; }
+  } Events;
+  Interpreter Interp(P);
+  InstrumentationPlan Plan = InstrumentationPlan::all(T.M);
+  IoChannels Io;
+  ASSERT_TRUE(Interp.run(T.EntryId, &Events, Plan, Io).ok());
+  EXPECT_EQ(Io.Output, (std::vector<int64_t>{0}));
+  EXPECT_EQ(Events.Enters, 1);
+  EXPECT_EQ(Events.BackEdges, 2); // Three iterations.
+  EXPECT_EQ(Events.Exits, 1);
 }
 
 } // namespace

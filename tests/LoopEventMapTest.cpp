@@ -1,11 +1,12 @@
 //===- tests/LoopEventMapTest.cpp - Loop-event table construction ---------===//
 //
-// Direct unit tests of the control-transfer tables the interpreter
+// Direct unit tests of the per-pc loop-event slots the interpreter
 // consults (vm/LoopEventMap.h), independent of event delivery.
 //
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
+#include "programs/Programs.h"
 #include "vm/LoopEventMap.h"
 
 #include <gtest/gtest.h>
@@ -34,6 +35,11 @@ Tables tablesOf(const std::string &Src, const std::string &Method) {
   return T;
 }
 
+bool sameEvents(const LoopTransition &A, const LoopTransition &B) {
+  return A.Exits == B.Exits && A.BackEdge == B.BackEdge &&
+         A.Entries == B.Entries;
+}
+
 TEST(LoopEventMap, SingleLoopHasEntryBackEdgeAndExit) {
   Tables T = tablesOf(R"(
     class Main {
@@ -50,8 +56,7 @@ TEST(LoopEventMap, SingleLoopHasEntryBackEdgeAndExit) {
   const LoopEventMap &LEM = T.PM->Events;
 
   int Entries = 0, BackEdges = 0, Exits = 0;
-  for (const auto &[Key, Tr] : LEM.Transitions) {
-    (void)Key;
+  for (const LoopTransition &Tr : LEM.Edges) {
     Entries += static_cast<int>(Tr.Entries.size());
     BackEdges += Tr.BackEdge >= 0 ? 1 : 0;
     Exits += static_cast<int>(Tr.Exits.size());
@@ -61,39 +66,83 @@ TEST(LoopEventMap, SingleLoopHasEntryBackEdgeAndExit) {
   EXPECT_EQ(Exits, 1);     // One exit edge (the IfFalse).
 }
 
-TEST(LoopEventMap, InterestingTargetsCoverAllTransitionTargets) {
-  Tables T = tablesOf(R"(
+TEST(LoopEventMap, SlotsCoverExactlyTheEventfulCfgEdges) {
+  std::vector<std::string> Sources = {R"(
     class Main {
       static int m(int n) {
         int s = 0;
         for (int i = 0; i < n; i++) {
           for (int j = 0; j < i; j++) {
+            if (j == 3) { break; }
             s = s + 1;
           }
+          while (s > 100) { s = s - 7; }
         }
         return s;
       }
       static void main() { print(m(4)); }
     }
-  )",
-                      "m");
-  ASSERT_NE(T.PM, nullptr);
-  const LoopEventMap &LEM = T.PM->Events;
-  for (const auto &[Key, Tr] : LEM.Transitions) {
-    (void)Tr;
-    int ToPc = static_cast<int>(Key & 0xffffffff);
-    EXPECT_TRUE(LEM.InterestingTarget[static_cast<size_t>(ToPc)]);
+  )"};
+  for (const programs::CorpusProgram &P : programs::corpusPrograms())
+    Sources.push_back(P.Source);
+
+  size_t EventfulEdges = 0;
+  for (const std::string &Src : Sources) {
+    auto CP = compile(Src);
+    ASSERT_TRUE(CP);
+    for (size_t Id = 0; Id < CP->Mod->Methods.size(); ++Id) {
+      const std::vector<bc::Instr> &Code = CP->Mod->Methods[Id].Code;
+      const PreparedMethod &PM = CP->Prep.Methods[Id];
+      const LoopEventMap &LEM = PM.Events;
+      ASSERT_EQ(LEM.Fall.size(), Code.size());
+      ASSERT_EQ(LEM.Taken.size(), Code.size());
+      // The slots each CFG edge should occupy, with its expected events.
+      std::vector<LoopTransition> WantFall(Code.size()),
+          WantTaken(Code.size());
+      std::vector<char> HasFall(Code.size(), 0), HasTaken(Code.size(), 0);
+      for (const analysis::BasicBlock &B : PM.Graph.Blocks) {
+        int From = B.End - 1;
+        const bc::Instr &Last = Code[static_cast<size_t>(From)];
+        for (int S : B.Succs) {
+          int To = PM.Graph.Blocks[static_cast<size_t>(S)].Begin;
+          LoopTransition Want = chainTransition(PM, From, To);
+          if (Want.Exits.empty() && Want.BackEdge < 0 && Want.Entries.empty())
+            continue;
+          ++EventfulEdges;
+          int Slots = 0;
+          if (To == B.End && Last.Op != bc::Opcode::Goto) {
+            HasFall[static_cast<size_t>(From)] = 1;
+            WantFall[static_cast<size_t>(From)] = Want;
+            ++Slots;
+          }
+          if (bc::isBranch(Last.Op) && Last.A == To) {
+            HasTaken[static_cast<size_t>(From)] = 1;
+            WantTaken[static_cast<size_t>(From)] = Want;
+            ++Slots;
+          }
+          // One slot per edge; a branch to pc+1 is one edge reached
+          // both ways.
+          bool CondToNext = Last.Op != bc::Opcode::Goto &&
+                            bc::isBranch(Last.Op) && Last.A == From + 1;
+          EXPECT_EQ(Slots, CondToNext ? 2 : 1);
+        }
+      }
+      for (size_t Pc = 0; Pc < Code.size(); ++Pc) {
+        ASSERT_EQ(LEM.Fall[Pc] >= 0, HasFall[Pc] != 0) << "fall slot " << Pc;
+        ASSERT_EQ(LEM.Taken[Pc] >= 0, HasTaken[Pc] != 0)
+            << "taken slot " << Pc;
+        if (HasFall[Pc])
+          EXPECT_TRUE(sameEvents(LEM.Edges[static_cast<size_t>(LEM.Fall[Pc])],
+                                 WantFall[Pc]))
+              << "fall slot " << Pc;
+        if (HasTaken[Pc])
+          EXPECT_TRUE(sameEvents(LEM.Edges[static_cast<size_t>(LEM.Taken[Pc])],
+                                 WantTaken[Pc]))
+              << "taken slot " << Pc;
+      }
+    }
   }
-  // lookup() agrees with the raw map.
-  for (const auto &[Key, Tr] : LEM.Transitions) {
-    int FromPc = static_cast<int>(Key >> 32);
-    int ToPc = static_cast<int>(Key & 0xffffffff);
-    const LoopTransition *Found = LEM.lookup(FromPc, ToPc);
-    ASSERT_NE(Found, nullptr);
-    EXPECT_EQ(Found->Exits.size(), Tr.Exits.size());
-    EXPECT_EQ(Found->BackEdge, Tr.BackEdge);
-    EXPECT_EQ(Found->Entries.size(), Tr.Entries.size());
-  }
+  EXPECT_GT(EventfulEdges, 0u);
 }
 
 TEST(LoopEventMap, BreakFromNestedLoopsExitsBothOnOneEdge) {
@@ -163,7 +212,11 @@ TEST(LoopEventMap, StraightLineMethodHasNoTransitions) {
   )",
                       "m");
   ASSERT_NE(T.PM, nullptr);
-  EXPECT_TRUE(T.PM->Events.Transitions.empty());
+  EXPECT_TRUE(T.PM->Events.Edges.empty());
+  for (size_t Pc = 0; Pc < T.M->Code.size(); ++Pc) {
+    EXPECT_EQ(T.PM->Events.Fall[Pc], -1);
+    EXPECT_EQ(T.PM->Events.Taken[Pc], -1);
+  }
   for (const auto &Chain : T.PM->Events.LoopChainAtPc)
     EXPECT_TRUE(Chain.empty());
 }

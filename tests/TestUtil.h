@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace algoprof {
 namespace testutil {
 
@@ -54,6 +56,31 @@ inline void runTraps(const std::string &Src, const std::string &Needle) {
   EXPECT_EQ(Out.Result.Status, vm::RunStatus::Trapped);
   EXPECT_NE(Out.Result.TrapMessage.find(Needle), std::string::npos)
       << "trap message was: " << Out.Result.TrapMessage;
+}
+
+/// The loop events of the transfer From -> To inside one method, derived
+/// from the loop chains alone, never from the VM's slot tables: exits are
+/// the source's loops the target is not in (innermost first), entries
+/// the target's loops the source is not in (outermost first), and a back
+/// edge is a jump to the header of a loop the source stays in.
+inline vm::LoopTransition chainTransition(const vm::PreparedMethod &PM,
+                                          int From, int To) {
+  const auto &Src = PM.Events.LoopChainAtPc[static_cast<size_t>(From)];
+  const auto &Dst = PM.Events.LoopChainAtPc[static_cast<size_t>(To)];
+  auto In = [](const std::vector<int32_t> &Chain, int32_t L) {
+    return std::find(Chain.begin(), Chain.end(), L) != Chain.end();
+  };
+  vm::LoopTransition T;
+  for (int32_t L : Src) {
+    if (!In(Dst, L))
+      T.Exits.push_back(L);
+    else if (PM.Loops.Loops[static_cast<size_t>(L)].HeaderPc == To)
+      T.BackEdge = L;
+  }
+  for (auto It = Dst.rbegin(); It != Dst.rend(); ++It)
+    if (!In(Src, *It))
+      T.Entries.push_back(*It);
+  return T;
 }
 
 } // namespace testutil

@@ -548,4 +548,61 @@ TEST(Vm, InstrCountDeterministic) {
   EXPECT_EQ(A.Output, (std::vector<int64_t>{4950}));
 }
 
+TEST(Vm, FuelCutUnderProfilerCountsExactly) {
+  // With the profiler attached, the cut still lands after exactly Fuel
+  // instructions: listener callbacks never skew the count.
+  auto CP = compile(
+      programs::insertionSortProgram(16, 8, 1, programs::InputOrder::Random));
+  ASSERT_TRUE(CP);
+  for (uint64_t Fuel : {1u, 37u, 500u, 1492u}) {
+    prof::SessionOptions SO;
+    SO.Run.Fuel = Fuel;
+    prof::ProfileSession S(*CP, SO);
+    vm::RunResult R = S.run("Main", "main");
+    EXPECT_EQ(R.Status, vm::RunStatus::FuelExhausted) << "fuel=" << Fuel;
+    EXPECT_EQ(R.InstrCount, Fuel);
+  }
+}
+
+uint64_t FakeNowMs = 0;
+uint64_t fakeClock() { return ++FakeNowMs; }
+
+TEST(Vm, DeadlineTripsAtSameInstructionWithAndWithoutListener) {
+  // Under an injected clock the deadline check runs at fixed
+  // instruction counts, so the profiled run must stop exactly where the
+  // plain one does.
+  auto CP = compile(R"(
+    class Main {
+      static void main() {
+        int[] a = new int[8];
+        int i = 0;
+        while (true) {
+          a[i - i / 8 * 8] = i;
+          i = i + 1;
+        }
+      }
+    }
+  )");
+  ASSERT_TRUE(CP);
+  vm::RunOptions Opts;
+  Opts.RunDeadlineMs = 3;
+  Opts.ClockNowMs = fakeClock;
+
+  FakeNowMs = 0;
+  vm::IoChannels Io;
+  vm::RunResult Plain = prof::runPlain(*CP, "Main", "main", &Io, Opts);
+  ASSERT_EQ(Plain.Status, vm::RunStatus::BudgetExceeded);
+  ASSERT_EQ(Plain.Budget, "deadline");
+
+  FakeNowMs = 0;
+  prof::SessionOptions SO;
+  SO.Run = Opts;
+  prof::ProfileSession S(*CP, SO);
+  vm::RunResult Profiled = S.run("Main", "main");
+  EXPECT_EQ(Profiled.Status, Plain.Status);
+  EXPECT_EQ(Profiled.Budget, Plain.Budget);
+  EXPECT_EQ(Profiled.InstrCount, Plain.InstrCount);
+  EXPECT_EQ(Profiled.TrapMessage, Plain.TrapMessage);
+}
+
 } // namespace

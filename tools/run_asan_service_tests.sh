@@ -21,7 +21,12 @@
 # CostMap tests and the record-path goldens (sampling, streams,
 # SameType) run there too: cost maps are sorted vectors merged in place
 # from the back, and profiler activations count into pooled slot tables,
-# so an index slip there also reads or writes out of bounds.
+# so an index slip there also reads or writes out of bounds. The VM
+# suites run there as well (Vm, BytecodeLevel, LoopEvents,
+# LoopEventMap): the decode loop keeps every frame's locals and operands
+# in one contiguous value stack addressed by raw pointer arithmetic, and
+# indexes per-pc loop-event slots, so a wrong frame base, operand-stack
+# bound or slot index shows up there.
 #
 # Usage: run_asan_service_tests.sh <source-dir> <binary-dir> [jobs]
 set -euo pipefail
@@ -51,6 +56,6 @@ cmake --build "$ASAN_DIR" \
       --target algoprof_service_tests algoprof_tests \
       algoprof_parallel_tests algoprofd algoprof_client -j "$JOBS"
 cd "$ASAN_DIR"
-ctest -R '^(SnapshotMode|InputTable|MultiMeasure|MergeTest|CostMap)\.|/(AllElements|Eager)Golden\.|/RecordPathGolden' \
+ctest -R '^(SnapshotMode|InputTable|MultiMeasure|MergeTest|CostMap)\.|^(Vm|BytecodeLevel|LoopEvents|LoopEventMap)\.|/(AllElements|Eager)Golden\.|/RecordPathGolden' \
       --no-tests=error --output-on-failure -j "$JOBS"
 exec ctest -L service --output-on-failure -j "$JOBS"
