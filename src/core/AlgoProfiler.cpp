@@ -169,14 +169,11 @@ void AlgoProfiler::finalizeTop() {
   R.FoldedCosts = std::move(A.FoldedCosts);
   R.FoldedCosts.canonicalizeInputs(
       [this](int32_t Id) { return Inputs.canonical(Id); });
-  for (const auto &[Input, Live] : LiveInputs) {
-    int32_t Canon = Inputs.canonical(Input);
-    auto It = R.Inputs.find(Canon);
-    if (It == R.Inputs.end())
-      R.Inputs.emplace(Canon, Live.Use);
-    else
-      It->second.mergeMax(Live.Use);
-  }
+  std::vector<InputUses::Entry> Uses;
+  Uses.reserve(LiveInputs.size());
+  for (const auto &[Input, Live] : LiveInputs)
+    Uses.emplace_back(Inputs.canonical(Input), Live.Use);
+  R.Inputs = InputUses::fold(std::move(Uses));
   R.Finalized = true;
   popOwned(A);
 }

@@ -4,130 +4,156 @@
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_map>
+#include <functional>
 
 using namespace algoprof;
 using namespace algoprof::prof;
 
 std::vector<CombinedInvocation>
 algoprof::prof::combineInvocations(const Algorithm &A, const InputTable &T) {
-  // Working copy of every member node's records, canonicalized.
-  std::unordered_map<const RepetitionNode *, std::vector<CombinedInvocation>>
-      Acc;
-  for (const RepetitionNode *N : A.Nodes) {
-    std::vector<CombinedInvocation> &Rows = Acc[N];
-    Rows.resize(N->History.size());
+  assert(!A.Nodes.empty() && A.Nodes.front() == A.Root &&
+         "algorithm nodes must start with the root");
+  // Top-down: the root invocation each record folds into, or -1. Nodes
+  // come in pre-order, so a record's parent record is mapped before it;
+  // a record whose parent maps to -1 maps to -1 too. Records skip the
+  // fold when unfinished, when their parent node is outside the
+  // algorithm, or when their parent invocation was sampled out (paper
+  // Sec. 3.3 sampling trades completeness for memory).
+  std::vector<size_t> Base(A.Nodes.size());
+  std::vector<int32_t> RootRow;
+  const RepetitionNode *LastParent = nullptr;
+  size_t LastParentIdx = 0;
+  for (size_t NI = 0; NI < A.Nodes.size(); ++NI) {
+    const RepetitionNode *N = A.Nodes[NI];
+    Base[NI] = RootRow.size();
     for (size_t I = 0; I < N->History.size(); ++I) {
       const InvocationRecord &R = N->History[I];
-      Rows[I].Finalized = R.Finalized;
-      Rows[I].Costs = R.Costs;
-      // Costs folded up from sampled-out children belong to the
-      // combined invocation cost.
-      Rows[I].Costs.merge(R.FoldedCosts);
-      Rows[I].Costs.canonicalizeInputs(
-          [&T](int32_t Id) { return T.canonical(Id); });
-      for (const auto &[Id, Use] : R.Inputs) {
-        int32_t Canon = T.canonical(Id);
-        auto It = Rows[I].Inputs.find(Canon);
-        if (It == Rows[I].Inputs.end())
-          Rows[I].Inputs.emplace(Canon, Use);
-        else
-          It->second.mergeMax(Use);
+      if (NI == 0) {
+        RootRow.push_back(R.Finalized ? static_cast<int32_t>(I) : -1);
+        continue;
       }
-    }
-  }
-
-  // Deepest-first: fold each record into its parent's record when the
-  // parent node belongs to the same algorithm.
-  std::vector<const RepetitionNode *> Order = A.Nodes;
-  std::sort(Order.begin(), Order.end(),
-            [](const RepetitionNode *X, const RepetitionNode *Y) {
-              return X->depth() > Y->depth();
-            });
-  for (const RepetitionNode *N : Order) {
-    if (N == A.Root)
-      continue;
-    std::vector<CombinedInvocation> &Rows = Acc[N];
-    for (size_t I = 0; I < N->History.size(); ++I) {
-      const InvocationRecord &R = N->History[I];
-      if (!R.Finalized || !R.ParentNode || !A.contains(R.ParentNode))
+      if (!R.Finalized || !R.ParentNode || R.ParentInvocation < 0) {
+        RootRow.push_back(-1);
         continue;
-      // Sampled-out parent invocation: the child record has nowhere to
-      // fold into (paper Sec. 3.3 sampling trades completeness for
-      // memory).
-      if (R.ParentInvocation < 0)
+      }
+      if (R.ParentNode != LastParent) {
+        auto It = std::find(A.Nodes.begin(), A.Nodes.end(), R.ParentNode);
+        LastParent = R.ParentNode;
+        LastParentIdx = static_cast<size_t>(It - A.Nodes.begin());
+        assert((It == A.Nodes.end() || LastParentIdx < NI) &&
+               "parent node visited after its child");
+      }
+      if (LastParentIdx == A.Nodes.size()) {
+        RootRow.push_back(-1);
         continue;
-      auto ParentIt = Acc.find(R.ParentNode);
-      if (ParentIt == Acc.end())
-        continue;
-      assert(R.ParentInvocation >= 0 &&
-             R.ParentInvocation <
-                 static_cast<int32_t>(ParentIt->second.size()) &&
+      }
+      assert(static_cast<size_t>(R.ParentInvocation) <
+                 A.Nodes[LastParentIdx]->History.size() &&
              "parent invocation index out of range");
-      CombinedInvocation &Parent =
-          ParentIt->second[static_cast<size_t>(R.ParentInvocation)];
-      CombinedInvocation &Child = Rows[I];
-      Parent.Costs.merge(Child.Costs);
-      for (const auto &[Id, Use] : Child.Inputs) {
-        auto It = Parent.Inputs.find(Id);
-        if (It == Parent.Inputs.end())
-          Parent.Inputs.emplace(Id, Use);
-        else
-          It->second.mergeMax(Use);
-      }
+      RootRow.push_back(RootRow[Base[LastParentIdx] +
+                                static_cast<size_t>(R.ParentInvocation)]);
     }
   }
 
+  // Bucket the records by root invocation, keeping visit order.
+  const std::vector<InvocationRecord> &Roots = A.Root->History;
+  std::vector<size_t> Start(Roots.size() + 1, 0);
+  for (int32_t Row : RootRow)
+    if (Row >= 0)
+      ++Start[static_cast<size_t>(Row) + 1];
+  for (size_t I = 1; I < Start.size(); ++I)
+    Start[I] += Start[I - 1];
+  std::vector<const InvocationRecord *> Members(Start.back());
+  std::vector<size_t> Fill(Start.begin(), Start.end() - 1);
+  for (size_t NI = 0; NI < A.Nodes.size(); ++NI) {
+    const std::vector<InvocationRecord> &History = A.Nodes[NI]->History;
+    for (size_t I = 0; I < History.size(); ++I)
+      if (int32_t Row = RootRow[Base[NI] + I]; Row >= 0)
+        Members[Fill[static_cast<size_t>(Row)]++] = &History[I];
+  }
+
+  // Build each finalized root row once: its records' canonicalized
+  // entries, then one sort. Costs folded up from sampled-out children
+  // belong to the combined invocation cost.
+  auto Canonical = [&T](int32_t Id) { return Id < 0 ? Id : T.canonical(Id); };
   std::vector<CombinedInvocation> Result;
-  for (CombinedInvocation &Row : Acc[A.Root])
-    if (Row.Finalized)
-      Result.push_back(std::move(Row));
+  Result.reserve(Roots.size());
+  for (size_t Row = 0; Row < Roots.size(); ++Row) {
+    if (!Roots[Row].Finalized)
+      continue;
+    size_t NumCosts = 0, NumUses = 0;
+    for (size_t M = Start[Row]; M < Start[Row + 1]; ++M) {
+      NumCosts += Members[M]->Costs.entries().size() +
+                  Members[M]->FoldedCosts.entries().size();
+      NumUses += Members[M]->Inputs.size();
+    }
+    std::vector<CostMap::Entry> Costs;
+    Costs.reserve(NumCosts);
+    std::vector<InputUses::Entry> Uses;
+    Uses.reserve(NumUses);
+    for (size_t M = Start[Row]; M < Start[Row + 1]; ++M) {
+      const InvocationRecord &R = *Members[M];
+      for (const CostMap *Map : {&R.Costs, &R.FoldedCosts})
+        for (const auto &[Key, N] : Map->entries())
+          Costs.push_back(
+              {{Key.Kind, Canonical(Key.InputId), Key.TypeId}, N});
+      for (const auto &[Id, Use] : R.Inputs)
+        Uses.emplace_back(T.canonical(Id), Use);
+    }
+    CombinedInvocation &Inv = Result.emplace_back();
+    Inv.Costs = CostMap::sum(std::move(Costs));
+    Inv.Inputs = InputUses::fold(std::move(Uses));
+  }
   return Result;
 }
 
-std::vector<SeriesPoint>
-algoprof::prof::extractSeries(
-    const std::vector<CombinedInvocation> &Invocations, int32_t InputId,
-    CostKind K) {
-  std::vector<SeriesPoint> Series;
+std::vector<std::vector<SeriesPoint>>
+algoprof::prof::extractPooledSeriesByKind(
+    const std::vector<CombinedInvocation> &Invocations,
+    const std::vector<int32_t> &InputIds, std::span<const CostKind> Kinds) {
+  assert(std::adjacent_find(InputIds.begin(), InputIds.end(),
+                            std::greater_equal<int32_t>()) ==
+             InputIds.end() &&
+         "pooled input ids must be ascending and unique");
+  std::vector<std::vector<SeriesPoint>> Series(Kinds.size());
+  std::vector<int64_t> Cost(Kinds.size());
   for (const CombinedInvocation &Inv : Invocations) {
-    auto It = Inv.Inputs.find(InputId);
-    if (It == Inv.Inputs.end())
+    int64_t BestSize = -1;
+    std::fill(Cost.begin(), Cost.end(), 0);
+    // Merge-join the invocation's inputs against the pooled ids.
+    auto Id = InputIds.begin();
+    for (const auto &[UseId, Use] : Inv.Inputs) {
+      Id = std::lower_bound(Id, InputIds.end(), UseId);
+      if (Id == InputIds.end())
+        break;
+      if (*Id != UseId)
+        continue;
+      BestSize = std::max(BestSize, Use.MaxSize);
+      for (size_t K = 0; K < Kinds.size(); ++K)
+        if (Kinds[K] != CostKind::Step)
+          Cost[K] += Inv.Costs.total(Kinds[K], UseId);
+    }
+    if (BestSize < 0)
       continue;
-    SeriesPoint Pt;
-    Pt.X = static_cast<double>(It->second.MaxSize);
-    Pt.Y = static_cast<double>(K == CostKind::Step
-                                   ? Inv.Costs.steps()
-                                   : Inv.Costs.total(K, InputId));
-    Series.push_back(Pt);
+    int64_t Steps = Inv.Costs.steps();
+    for (size_t K = 0; K < Kinds.size(); ++K)
+      Series[K].push_back(
+          {static_cast<double>(BestSize),
+           static_cast<double>(Kinds[K] == CostKind::Step ? Steps
+                                                          : Cost[K])});
   }
   return Series;
 }
 
 std::vector<SeriesPoint> algoprof::prof::extractPooledSeries(
     const std::vector<CombinedInvocation> &Invocations,
-    const std::vector<int32_t> &InputIds, CostKind K) {
-  std::vector<SeriesPoint> Series;
-  for (const CombinedInvocation &Inv : Invocations) {
-    int64_t BestSize = -1;
-    int64_t Cost = 0;
-    for (int32_t Id : InputIds) {
-      auto It = Inv.Inputs.find(Id);
-      if (It == Inv.Inputs.end())
-        continue;
-      BestSize = std::max(BestSize, It->second.MaxSize);
-      if (K != CostKind::Step)
-        Cost += Inv.Costs.total(K, Id);
-    }
-    if (BestSize < 0)
-      continue;
-    SeriesPoint Pt;
-    Pt.X = static_cast<double>(BestSize);
-    Pt.Y = static_cast<double>(K == CostKind::Step ? Inv.Costs.steps()
-                                                   : Cost);
-    Series.push_back(Pt);
-  }
-  return Series;
+    std::vector<int32_t> InputIds, CostKind K) {
+  std::sort(InputIds.begin(), InputIds.end());
+  InputIds.erase(std::unique(InputIds.begin(), InputIds.end()),
+                 InputIds.end());
+  return std::move(extractPooledSeriesByKind(Invocations, InputIds,
+                                             std::span<const CostKind>(&K, 1))
+                       .front());
 }
 
 bool algoprof::prof::isInterestingSeries(

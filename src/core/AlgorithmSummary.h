@@ -13,21 +13,28 @@
 
 #include "core/Grouping.h"
 
+#include <array>
+#include <span>
 #include <vector>
 
 namespace algoprof {
 namespace prof {
 
-/// One root-level invocation of an algorithm with the group-internal
-/// child costs folded in.
+/// One finalized root-level invocation of an algorithm with the
+/// group-internal child costs folded in.
 struct CombinedInvocation {
   CostMap Costs;
-  std::map<int32_t, InputUse> Inputs;
-  bool Finalized = false;
+  InputUses Inputs;
 };
 
-/// Combines the invocation histories of \p A's nodes bottom-up into its
-/// root's invocations.
+/// Combines the invocation histories of \p A's nodes into its root's
+/// finalized invocations, in one top-down pass: every record maps to
+/// the root invocation it folds into (or to none), and each combined
+/// row is built once from its records' canonicalized entries, with no
+/// intermediate per-record rows. A row's
+/// input uses fold in visit order (the root record first, then member
+/// nodes in pre-order, records in history order); sizes are maxima, so
+/// only FirstSize/LastSize depend on that order.
 std::vector<CombinedInvocation>
 combineInvocations(const Algorithm &A, const InputTable &T);
 
@@ -37,20 +44,31 @@ struct SeriesPoint {
   double Y = 0; ///< Cost.
 };
 
-/// Extracts the <size of input \p InputId, cost of kind \p K> series,
-/// one point per finalized root invocation. For CostKind::Step, Y is the
-/// invocation's total algorithmic steps; for access kinds, Y counts only
-/// operations on \p InputId.
-std::vector<SeriesPoint>
-extractSeries(const std::vector<CombinedInvocation> &Invocations,
-              int32_t InputId, CostKind K = CostKind::Step);
+/// The cost kinds of an input kind's series in a profile: the steps the
+/// primary fit is made on, then the per-measure plots of Sec. 3.5.
+inline constexpr std::array<CostKind, 5> ProfileSeriesKinds = {
+    CostKind::Step, CostKind::StructGet, CostKind::StructPut,
+    CostKind::ArrayLoad, CostKind::ArrayStore};
 
-/// Like extractSeries, but pools a set of same-kind inputs: each
-/// invocation contributes one point whose X is the largest size among
-/// the pooled inputs it touched (one run usually touches exactly one).
+/// Extracts, in one walk over \p Invocations, one pooled series per
+/// kind in \p Kinds (see extractPooledSeries). \p InputIds must be
+/// ascending and unique; each invocation's inputs are merge-joined
+/// against them. Every series gets the same X values.
+std::vector<std::vector<SeriesPoint>>
+extractPooledSeriesByKind(const std::vector<CombinedInvocation> &Invocations,
+                          const std::vector<int32_t> &InputIds,
+                          std::span<const CostKind> Kinds);
+
+/// Extracts a <size, cost of kind \p K> series pooled over a set of
+/// same-kind inputs: each finalized root invocation that touched one of
+/// them contributes one point whose X is the largest size among the
+/// pooled inputs it touched (one run usually touches exactly one). For
+/// CostKind::Step, Y is the invocation's total algorithmic steps; for
+/// access kinds, Y counts only operations on the pooled inputs. \p
+/// InputIds may come in any order and repeat; each id counts once.
 std::vector<SeriesPoint>
 extractPooledSeries(const std::vector<CombinedInvocation> &Invocations,
-                    const std::vector<int32_t> &InputIds,
+                    std::vector<int32_t> InputIds,
                     CostKind K = CostKind::Step);
 
 /// The paper's report heuristic (Sec. 3.5): an input is interesting when

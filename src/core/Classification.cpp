@@ -25,10 +25,16 @@ Classification algoprof::prof::classifyAlgorithm(
     const InputTable &T, const Module &M) {
   Classification Result;
 
-  // Aggregate all root invocations.
-  CostMap Total;
+  // Aggregate all root invocations: one sort over their entries.
+  size_t NumEntries = 0;
   for (const CombinedInvocation &Inv : Invocations)
-    Total.merge(Inv.Costs);
+    NumEntries += Inv.Costs.entries().size();
+  std::vector<CostMap::Entry> Entries;
+  Entries.reserve(NumEntries);
+  for (const CombinedInvocation &Inv : Invocations)
+    Entries.insert(Entries.end(), Inv.Costs.entries().begin(),
+                   Inv.Costs.entries().end());
+  CostMap Total = CostMap::sum(std::move(Entries));
 
   Result.DoesInput = Total.total(CostKind::InputRead) > 0;
   Result.DoesOutput = Total.total(CostKind::OutputWrite) > 0;

@@ -47,6 +47,13 @@ CostMap::CostMap(std::vector<Entry> Sorted) : Counts(std::move(Sorted)) {
          "cost entries must be strictly ascending");
 }
 
+CostMap CostMap::sum(std::vector<Entry> Entries) {
+  CostMap M;
+  M.Counts = std::move(Entries);
+  M.sortAndCoalesce();
+  return M;
+}
+
 void CostMap::add(CostKey Key, int64_t N) {
   auto It = std::lower_bound(Counts.begin(), Counts.end(), Key, keyLess);
   if (It != Counts.end() && It->first == Key)
@@ -112,8 +119,9 @@ void CostMap::merge(const CostMap &Other) {
 }
 
 void CostMap::sortAndCoalesce() {
-  std::sort(Counts.begin(), Counts.end(),
-            [](const Entry &A, const Entry &B) { return A.first < B.first; });
+  auto Less = [](const Entry &A, const Entry &B) { return A.first < B.first; };
+  if (!std::is_sorted(Counts.begin(), Counts.end(), Less))
+    std::sort(Counts.begin(), Counts.end(), Less);
   size_t Out = 0;
   for (size_t I = 0; I < Counts.size(); ++I) {
     if (Out > 0 && Counts[Out - 1].first == Counts[I].first)

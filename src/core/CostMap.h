@@ -63,11 +63,12 @@ struct CostKey {
 
 /// Counts of primitive operations: a vector of (key, count) entries kept
 /// sorted by key, one entry per key. Every invocation record carries
-/// two of these, and the profile back half copies, merges and scans
-/// them (cost combination, grouping, classification, series
-/// extraction), so they are flat: a copy is one allocation, a merge is
-/// a linear two-way merge, and entries() iterates in ascending key
-/// order, which keeps reports deterministic. Hot-path accumulation does
+/// two of these, and the profile back half remaps, sums and scans them
+/// (shard merge, cost combination, grouping, classification, series
+/// extraction), so they are flat: a remap is an in-place rewrite, a sum
+/// of many maps is one sort (sum()), a merge is a linear two-way merge,
+/// and entries() iterates in ascending key order, which keeps reports
+/// deterministic. Hot-path accumulation does
 /// not happen here (a sorted insert per event is too slow); the
 /// profiler counts into unsorted per-activation slots and sorts them
 /// once into a CostMap when the activation finishes.
@@ -78,6 +79,11 @@ public:
   CostMap() = default;
   /// Adopts \p Sorted, whose keys must be strictly ascending.
   explicit CostMap(std::vector<Entry> Sorted);
+
+  /// The map holding \p Entries, given in any order: entries with equal
+  /// keys are summed. One sort builds a sum of many maps, where adding
+  /// or merging them one by one costs a pass over the growing sum each.
+  static CostMap sum(std::vector<Entry> Entries);
 
   /// Adds \p N to \p Key: a binary search, plus an insert when the key
   /// is new.

@@ -3,7 +3,6 @@
 #include "core/Grouping.h"
 
 #include <algorithm>
-#include <set>
 
 using namespace algoprof;
 using namespace algoprof::prof;
@@ -34,16 +33,16 @@ namespace {
 /// constant-accesses-per-invocation cutoff the measure loops stay
 /// data-structure-less exactly as in the paper's Figure 3, while any
 /// repetition whose accesses scale with the input stays grouped.
-std::set<int32_t> canonicalInputs(const RepetitionNode &N,
-                                  const InputTable &T) {
-  std::map<int32_t, int64_t> Accesses;
-  std::map<int32_t, int64_t> Touched; // Invocations touching the input.
+std::vector<int32_t> canonicalInputs(const RepetitionNode &N,
+                                     const InputTable &T) {
+  std::vector<std::pair<int32_t, int64_t>> Accesses; // (input, count)
+  std::vector<int32_t> Touched; // One entry per touching invocation.
   for (const InvocationRecord &R : N.History) {
     if (!R.Finalized)
       continue;
     for (const auto &[Id, Use] : R.Inputs) {
       (void)Use;
-      ++Touched[T.canonical(Id)];
+      Touched.push_back(T.canonical(Id));
     }
     for (const auto &[Key, Count] : R.Costs.entries()) {
       if (Key.InputId < 0 || Key.TypeId >= 0)
@@ -54,14 +53,38 @@ std::set<int32_t> canonicalInputs(const RepetitionNode &N,
           Key.Kind == CostKind::ArrayStore ||
           Key.Kind == CostKind::InputRead ||
           Key.Kind == CostKind::OutputWrite)
-        Accesses[T.canonical(Key.InputId)] += Count;
+        Accesses.push_back({T.canonical(Key.InputId), Count});
     }
   }
-  std::set<int32_t> Ids;
-  for (const auto &[Id, Count] : Accesses)
-    if (Count > 2 * Touched[Id])
-      Ids.insert(Id);
+  std::sort(Accesses.begin(), Accesses.end(),
+            [](const auto &A, const auto &B) { return A.first < B.first; });
+  std::sort(Touched.begin(), Touched.end());
+  std::vector<int32_t> Ids;
+  auto TouchedIt = Touched.begin();
+  for (size_t I = 0; I < Accesses.size();) {
+    int32_t Id = Accesses[I].first;
+    int64_t Count = 0;
+    for (; I < Accesses.size() && Accesses[I].first == Id; ++I)
+      Count += Accesses[I].second;
+    auto [Lo, Hi] = std::equal_range(TouchedIt, Touched.end(), Id);
+    TouchedIt = Hi;
+    if (Count > 2 * static_cast<int64_t>(Hi - Lo))
+      Ids.push_back(Id);
+  }
   return Ids;
+}
+
+/// Whether the ascending id lists \p A and \p B share an id.
+bool intersects(const std::vector<int32_t> &A, const std::vector<int32_t> &B) {
+  for (size_t I = 0, J = 0; I < A.size() && J < B.size();) {
+    if (A[I] == B[J])
+      return true;
+    if (A[I] < B[J])
+      ++I;
+    else
+      ++J;
+  }
+  return false;
 }
 
 /// The AST loop id of a loop repetition node, or -1.
@@ -94,8 +117,8 @@ algoprof::prof::groupAlgorithms(const RepetitionTree &Tree,
     std::vector<Algorithm> &Result;
 
     bool joins(const RepetitionNode &Child, const RepetitionNode &Parent,
-               const std::set<int32_t> &ChildIn,
-               const std::set<int32_t> &ParentIn) const {
+               const std::vector<int32_t> &ChildIn,
+               const std::vector<int32_t> &ParentIn) const {
       switch (Strategy) {
       case GroupingStrategy::SameMethod:
         return Child.Key.Kind == RepKind::Loop &&
@@ -103,9 +126,8 @@ algoprof::prof::groupAlgorithms(const RepetitionTree &Tree,
                Child.Key.MethodId == Parent.Key.MethodId;
       case GroupingStrategy::CommonInput:
       case GroupingStrategy::CommonInputPlusDataflow: {
-        for (int32_t Id : ChildIn)
-          if (ParentIn.count(Id))
-            return true;
+        if (intersects(ChildIn, ParentIn))
+          return true;
         if (Strategy != GroupingStrategy::CommonInputPlusDataflow ||
             !Dataflow)
           return false;
@@ -127,8 +149,8 @@ algoprof::prof::groupAlgorithms(const RepetitionTree &Tree,
     }
 
     void walk(const RepetitionNode &N, const RepetitionNode *Parent,
-              int32_t ParentGroup, const std::set<int32_t> &ParentIn) {
-      std::set<int32_t> MyIn = canonicalInputs(N, Inputs);
+              int32_t ParentGroup, const std::vector<int32_t> &ParentIn) {
+      std::vector<int32_t> MyIn = canonicalInputs(N, Inputs);
       int32_t Group;
       if (Parent && ParentGroup >= 0 &&
           joins(N, *Parent, MyIn, ParentIn)) {

@@ -615,21 +615,34 @@ void InputTable::onArrayStoreValue(int32_t Input, ObjId Arr, Value V) {
 
 std::vector<int32_t> InputTable::merge(const InputTable &Other,
                                        int64_t ObjIdOffset) {
-  // Freeze the value sets that existed before this merge. A serial
-  // session identifying Other's arrays would have compared against
-  // exactly these: earlier runs are complete by the time a later run
-  // identifies, so their value sets no longer change, and comparisons
-  // against same-run inputs already happened inside the shard itself.
-  struct FrozenArray {
-    int32_t Id;
-    int32_t TypeKey;
-    std::unordered_set<int64_t> Values;
-  };
-  std::vector<FrozenArray> Frozen;
-  if (Strategy == EquivalenceStrategy::SomeElements)
-    for (const InputInfo &Info : Inputs)
-      if (Info.Alive && Info.IsArray && !Info.IsStream)
-        Frozen.push_back({Info.Id, Info.TypeKey, Info.ValueSet});
+  // Decide first: the SomeElements overlap candidates of every shard
+  // array, tested against the value sets as they stand before this
+  // merge. A serial session identifying Other's arrays would have
+  // compared against exactly these: earlier runs are complete by the
+  // time a later run identifies, so their value sets no longer change,
+  // and comparisons against same-run inputs already happened inside the
+  // shard itself. The apply loop below then grows the value sets.
+  std::vector<size_t> CandStart(Other.Inputs.size() + 1, 0);
+  std::vector<int32_t> Cands;
+  for (size_t I = 0; I < Other.Inputs.size(); ++I) {
+    CandStart[I] = Cands.size();
+    const InputInfo &Src = Other.Inputs[I];
+    if (Strategy != EquivalenceStrategy::SomeElements || !Src.IsArray ||
+        Src.IsStream || Src.SeedValues.empty() ||
+        Other.canonical(static_cast<int32_t>(I)) != static_cast<int32_t>(I))
+      continue;
+    for (const InputInfo &Cand : Inputs) {
+      if (!Cand.Alive || !Cand.IsArray || Cand.IsStream ||
+          Cand.TypeKey != Src.TypeKey)
+        continue;
+      for (int64_t V : Src.SeedValues)
+        if (Cand.ValueSet.count(V)) {
+          Cands.push_back(Cand.Id);
+          break;
+        }
+    }
+  }
+  CandStart.back() = Cands.size();
 
   // The shard ran *after* every run already merged here; a serial
   // session would have reset the run-scoped measurement counters at
@@ -665,22 +678,12 @@ std::vector<int32_t> InputTable::merge(const InputTable &Other,
                Src.IsArray && !Src.SeedValues.empty()) {
       // Replay the overlap tests the shard's identifications would have
       // run against the pre-merge inputs: SeedValues holds the exact
-      // element values each identification snapshot saw. Candidates are
-      // scanned in id order and chained through merge(), mirroring the
-      // serial identification loop.
-      for (const FrozenArray &Cand : Frozen) {
-        if (Cand.TypeKey != Src.TypeKey)
-          continue;
-        bool Overlaps = false;
-        for (int64_t V : Src.SeedValues)
-          if (Cand.Values.count(V)) {
-            Overlaps = true;
-            break;
-          }
-        if (Overlaps) {
-          int32_t CandId = canonical(Cand.Id);
-          Target = Target < 0 ? CandId : merge(Target, CandId);
-        }
+      // element values each identification snapshot saw. The candidates
+      // decided above come in id order and chain through merge(),
+      // mirroring the serial identification loop.
+      for (size_t C = CandStart[I]; C < CandStart[I + 1]; ++C) {
+        int32_t CandId = canonical(Cands[C]);
+        Target = Target < 0 ? CandId : merge(Target, CandId);
       }
     }
     // SameArray and AllElements never unify across runs: heap object ids

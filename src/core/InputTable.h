@@ -203,7 +203,7 @@ public:
   ///  - under SameType, inputs unify with the first live input of the
   ///    same kind and type key;
   ///  - under SomeElements, primitive arrays unify with pre-existing
-  ///    inputs whose (frozen) value sets overlap the shard input's
+  ///    inputs whose pre-merge value sets overlap the shard input's
   ///    identification-time values (InputInfo::SeedValues);
   ///  - everything else stays a distinct input, preserving the shard's
   ///    creation order, so input ids match the serial session's.

@@ -4,11 +4,33 @@
 
 #include "obs/Obs.h"
 
+#include <algorithm>
 #include <cassert>
 #include <set>
 
 using namespace algoprof;
 using namespace algoprof::prof;
+
+const InputUse *InputUses::find(int32_t Id) const {
+  auto It = std::lower_bound(
+      Uses.begin(), Uses.end(), Id,
+      [](const Entry &E, int32_t Key) { return E.first < Key; });
+  return It != Uses.end() && It->first == Id ? &It->second : nullptr;
+}
+
+void InputUses::sortAndFold() {
+  auto Less = [](const Entry &A, const Entry &B) { return A.first < B.first; };
+  if (!std::is_sorted(Uses.begin(), Uses.end(), Less))
+    std::stable_sort(Uses.begin(), Uses.end(), Less);
+  size_t Out = 0;
+  for (size_t I = 0; I < Uses.size(); ++I) {
+    if (Out > 0 && Uses[Out - 1].first == Uses[I].first)
+      Uses[Out - 1].second.mergeMax(Uses[I].second);
+    else
+      Uses[Out++] = Uses[I];
+  }
+  Uses.resize(Out);
+}
 
 RepetitionNode *RepetitionNode::findChild(const RepKey &K) {
   for (const auto &C : Children)
@@ -58,8 +80,7 @@ RepetitionNode &RepetitionTree::addChild(RepetitionNode &Parent,
   return *Parent.Children.back();
 }
 
-void RepetitionTree::mergeSubtree(RepetitionNode &Dst,
-                                  const RepetitionNode &Src,
+void RepetitionTree::mergeSubtree(RepetitionNode &Dst, RepetitionNode &Src,
                                   size_t ParentOffset,
                                   const std::vector<int32_t> &Remap) {
   auto RemapId = [&Remap](int32_t Id) {
@@ -69,32 +90,28 @@ void RepetitionTree::mergeSubtree(RepetitionNode &Dst,
   };
   size_t MyOffset = Dst.History.size();
   Dst.TotalInvocations += Src.TotalInvocations;
-  Dst.History.reserve(MyOffset + Src.History.size());
-  for (const InvocationRecord &R : Src.History) {
-    InvocationRecord N;
-    N.Costs = R.Costs;
-    N.Costs.canonicalizeInputs(RemapId);
-    N.FoldedCosts = R.FoldedCosts;
-    N.FoldedCosts.canonicalizeInputs(RemapId);
-    for (const auto &[Id, Use] : R.Inputs) {
-      auto [It, Inserted] = N.Inputs.emplace(RemapId(Id), Use);
-      if (!Inserted)
-        It->second.mergeMax(Use);
-    }
-    N.ParentNode = Dst.Parent;
-    N.ParentInvocation =
-        R.ParentInvocation >= 0
-            ? R.ParentInvocation + static_cast<int32_t>(ParentOffset)
-            : -1;
-    N.Finalized = R.Finalized;
-    Dst.History.push_back(std::move(N));
+  for (InvocationRecord &R : Src.History) {
+    R.Costs.canonicalizeInputs(RemapId);
+    R.FoldedCosts.canonicalizeInputs(RemapId);
+    R.Inputs.canonicalize(RemapId);
+    R.ParentNode = Dst.Parent;
+    if (R.ParentInvocation >= 0)
+      R.ParentInvocation += static_cast<int32_t>(ParentOffset);
   }
+  if (Dst.History.empty()) {
+    Dst.History = std::move(Src.History);
+  } else {
+    Dst.History.insert(Dst.History.end(),
+                       std::make_move_iterator(Src.History.begin()),
+                       std::make_move_iterator(Src.History.end()));
+  }
+  Src.History.clear();
   for (const auto &C : Src.Children)
     mergeSubtree(getOrCreateChild(Dst, C->Key, C->Name), *C, MyOffset,
                  Remap);
 }
 
-void RepetitionTree::merge(const RepetitionTree &Other,
+void RepetitionTree::merge(RepetitionTree &&Other,
                            const std::vector<int32_t> &InputRemap) {
   mergeSubtree(*Root, Other.root(), /*ParentOffset=*/0, InputRemap);
 }

@@ -13,10 +13,11 @@
 
 #include "core/CostMap.h"
 
+#include <algorithm>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace algoprof {
@@ -84,6 +85,57 @@ struct InputUse {
   }
 };
 
+/// The inputs one invocation touched: (input id, sizes) entries kept
+/// sorted by id, one entry per id. Flat for the same reason as CostMap:
+/// every record carries one, and the back half remaps, folds and scans
+/// them (shard merge, cost combination, series extraction).
+class InputUses {
+public:
+  using Entry = std::pair<int32_t, InputUse>;
+
+  InputUses() = default;
+
+  /// The uses in \p Entries, given in any order. Entries with equal ids
+  /// fold with InputUse::mergeMax in their order in \p Entries, so
+  /// passing them in ascending order of their former ids folds exactly
+  /// like inserting them into a map keyed by the new id.
+  static InputUses fold(std::vector<Entry> Entries) {
+    InputUses U;
+    U.Uses = std::move(Entries);
+    U.sortAndFold();
+    return U;
+  }
+
+  /// The use of input \p Id, or null.
+  const InputUse *find(int32_t Id) const;
+
+  /// Rewrites ids through \p Canonical (an input-id remap or union-find
+  /// collapse); uses that now share an id fold in ascending order of
+  /// their old ids. Re-sorts only when some id changed.
+  template <typename Fn> void canonicalize(Fn Canonical) {
+    bool Changed = false;
+    for (Entry &E : Uses) {
+      int32_t Id = Canonical(E.first);
+      Changed |= Id != E.first;
+      E.first = Id;
+    }
+    if (Changed)
+      sortAndFold();
+  }
+
+  /// Iteration visits (id, use) entries in ascending id order.
+  bool empty() const { return Uses.empty(); }
+  size_t size() const { return Uses.size(); }
+  std::vector<Entry>::const_iterator begin() const { return Uses.begin(); }
+  std::vector<Entry>::const_iterator end() const { return Uses.end(); }
+
+private:
+  /// Stable-sorts the entries by id and folds equal ids left to right.
+  void sortAndFold();
+
+  std::vector<Entry> Uses;
+};
+
 class RepetitionNode;
 
 /// The history entry of one finished invocation of a repetition
@@ -95,7 +147,7 @@ struct InvocationRecord {
   /// but are not this repetition's own operations, so grouping ignores
   /// them while series extraction includes them.
   CostMap FoldedCosts;
-  std::map<int32_t, InputUse> Inputs; ///< Canonical input id -> sizes.
+  InputUses Inputs; ///< Canonical input id -> sizes.
   RepetitionNode *ParentNode = nullptr;
   int32_t ParentInvocation = -1;
   bool Finalized = false;
@@ -155,16 +207,17 @@ public:
   RepetitionNode &addChild(RepetitionNode &Parent, const RepKey &K,
                            std::string Name);
 
-  /// Folds the completed shard tree \p Other into this one. Nodes align
-  /// by RepKey (static method/loop ids); \p Other's invocation records
-  /// are appended after this tree's, with cost-map and input-use ids
-  /// rewritten through \p InputRemap (from InputTable::merge) and
-  /// ParentInvocation indices shifted by the destination parent's
-  /// pre-merge history length. Merging shards in run-index order
-  /// reproduces a serial accumulating session's tree exactly, byte for
-  /// byte, independent of which threads executed which runs.
-  void merge(const RepetitionTree &Other,
-             const std::vector<int32_t> &InputRemap);
+  /// Folds the completed shard tree \p Other into this one, consuming
+  /// it. Nodes align by RepKey (static method/loop ids); \p Other's
+  /// invocation records move over and append after this tree's, with
+  /// cost-map and input-use ids rewritten in place through \p
+  /// InputRemap (from InputTable::merge) and ParentInvocation indices
+  /// shifted by the destination parent's pre-merge history length.
+  /// Merging shards in run-index order reproduces a serial accumulating
+  /// session's tree exactly, byte for byte, independent of which
+  /// threads executed which runs. \p Other is left with its nodes but
+  /// no records.
+  void merge(RepetitionTree &&Other, const std::vector<int32_t> &InputRemap);
 
   /// Pre-order traversal.
   template <typename Fn> void forEach(Fn F) const {
@@ -175,7 +228,7 @@ public:
   int numRepetitions() const;
 
 private:
-  void mergeSubtree(RepetitionNode &Dst, const RepetitionNode &Src,
+  void mergeSubtree(RepetitionNode &Dst, RepetitionNode &Src,
                     size_t ParentOffset,
                     const std::vector<int32_t> &Remap);
 

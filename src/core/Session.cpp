@@ -157,41 +157,47 @@ algoprof::prof::buildProfilesFrom(const RepetitionTree &Tree,
     Algos = groupAlgorithms(Tree, Inputs, CP.Prep, Strategy, &CP.Dataflow);
   }
   std::vector<AlgorithmProfile> Profiles;
+  Profiles.reserve(Algos.size());
   for (Algorithm &A : Algos) {
     AlgorithmProfile AP;
     AP.Algo = std::move(A);
-    AP.Invocations = combineInvocations(AP.Algo, Inputs);
+    {
+      obs::ScopedTimer Timer(obs::Phase::Combine);
+      AP.Invocations = combineInvocations(AP.Algo, Inputs);
+    }
     {
       obs::ScopedTimer Timer(obs::Phase::Classify);
       AP.Class = classifyAlgorithm(AP.Algo, AP.Invocations, Inputs,
                                    *CP.Mod);
     }
     AP.Label = AP.Class.label(Inputs);
-    // Pool the algorithm's inputs by kind and extract one series per
-    // kind across all root invocations.
+    // Pool the algorithm's inputs by kind and extract the kind's step
+    // and per-measure series across all root invocations.
     std::map<std::string, std::vector<int32_t>> Kinds;
     for (int32_t InputId : AP.Algo.InputIds)
       Kinds[Inputs.info(InputId).Label].push_back(InputId);
     for (auto &[Kind, Ids] : Kinds) {
+      std::vector<std::vector<SeriesPoint>> ByKind;
+      {
+        obs::ScopedTimer Timer(obs::Phase::Series);
+        ByKind = extractPooledSeriesByKind(AP.Invocations, Ids,
+                                           ProfileSeriesKinds);
+      }
       AlgorithmProfile::InputSeries S;
       S.Kind = Kind;
-      S.InputIds = Ids;
-      S.Series = extractPooledSeries(AP.Invocations, Ids, CostKind::Step);
+      S.InputIds = std::move(Ids);
+      S.Series = std::move(ByKind[0]);
       S.Interesting = isInterestingSeries(S.Series);
       if (S.Interesting)
         S.Fit = fit::fitBest(S.Series);
       // Per-measure plots (paper Sec. 3.5); constant or absent measures
       // are excluded by the isInterestingSeries heuristic.
-      for (CostKind Measure :
-           {CostKind::StructGet, CostKind::StructPut, CostKind::ArrayLoad,
-            CostKind::ArrayStore}) {
-        auto MeasureSeries =
-            extractPooledSeries(AP.Invocations, Ids, Measure);
-        if (!isInterestingSeries(MeasureSeries))
+      for (size_t K = 1; K < ProfileSeriesKinds.size(); ++K) {
+        if (!isInterestingSeries(ByKind[K]))
           continue;
-        fit::FitResult F = fit::fitBest(MeasureSeries);
+        fit::FitResult F = fit::fitBest(ByKind[K]);
         if (F.Valid)
-          S.MeasureFits.emplace(Measure, F);
+          S.MeasureFits.emplace(ProfileSeriesKinds[K], F);
       }
       AP.Series.push_back(std::move(S));
     }

@@ -39,6 +39,10 @@ const char *obs::phaseName(Phase P) {
     return "grouping";
   case Phase::Classify:
     return "classify";
+  case Phase::Combine:
+    return "combine";
+  case Phase::Series:
+    return "series";
   case Phase::Fit:
     return "fit";
   case Phase::BuildProfiles:

@@ -60,6 +60,8 @@ enum class Phase : uint8_t {
   Snapshot,      ///< core: InputTable full snapshot traversals.
   Grouping,      ///< core: repetition tree -> algorithms.
   Classify,      ///< core: per-algorithm classification.
+  Combine,       ///< core: cost combination into root invocations.
+  Series,        ///< core: pooled series extraction.
   Fit,           ///< fitting: model family evaluation + selection.
   BuildProfiles, ///< core: the whole profile pipeline back half.
   ShardRun,      ///< parallel: one sweep shard's profiled run.

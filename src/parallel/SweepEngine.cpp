@@ -245,7 +245,7 @@ void SweepEngine::mergeShard(Batch &B, size_t I) {
   } else if (S.Prof) {
     std::vector<int32_t> Remap =
         Acc->inputs().merge(S.Prof->inputs(), ObjIdOffset);
-    Acc->tree().merge(S.Prof->tree(), Remap);
+    Acc->tree().merge(std::move(S.Prof->tree()), Remap);
     ObjIdOffset += S.NumObjects;
     ++B.Out->MergedRuns;
     obs::addCount(obs::Counter::ShardsMerged);

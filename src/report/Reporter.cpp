@@ -8,6 +8,7 @@
 #include "report/TablePrinter.h"
 #include "report/TreePrinter.h"
 
+#include <charconv>
 #include <cstdio>
 
 using namespace algoprof;
@@ -15,6 +16,14 @@ using namespace algoprof::prof;
 using namespace algoprof::report;
 
 Reporter::~Reporter() = default;
+
+void report::fmtDouble(std::string &Out, double V) {
+  // "%.17g" of any double fits: sign, 17 digits, point, "e-308".
+  char Buf[32];
+  std::to_chars_result R =
+      std::to_chars(Buf, Buf + sizeof(Buf), V, std::chars_format::general, 17);
+  Out.append(Buf, R.ptr);
+}
 
 std::string Reporter::render(const ReportInput &In) const {
   obs::ScopedSpan Span(obs::Phase::Report);
@@ -27,12 +36,12 @@ std::string Reporter::render(const ReportInput &In) const {
 
 namespace {
 
-/// %.17g: shortest round-trippable double, stable across runs.
-std::string fmtDouble(double V) {
-  char Buf[40];
-  std::snprintf(Buf, sizeof(Buf), "%.17g", V);
-  return Buf;
+void appendInt(std::string &Out, int64_t V) {
+  char Buf[24];
+  Out.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), V).ptr);
 }
+
+const char *boolName(bool B) { return B ? "true" : "false"; }
 
 class TreeReporter : public Reporter {
   std::string name() const override { return "tree"; }
@@ -112,9 +121,10 @@ class JsonReporter : public Reporter {
         break;
       default:
         if (static_cast<unsigned char>(C) < 0x20) {
-          char Buf[8];
-          std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-          Out += Buf;
+          static const char Hex[] = "0123456789abcdef";
+          Out += "\\u00";
+          Out += Hex[C >> 4];
+          Out += Hex[C & 0xf];
         } else {
           Out += C;
         }
@@ -134,13 +144,35 @@ class JsonReporter : public Reporter {
     appendEscaped(Out, F.formula());
     Out += "\",\n";
     Out += Indent;
-    Out += "  \"r2\": " + fmtDouble(F.R2) + "\n";
+    Out += "  \"r2\": ";
+    fmtDouble(Out, F.R2);
+    Out += "\n";
     Out += Indent;
     Out += "}";
   }
 
+  /// A size estimate of the document, so it renders into one
+  /// allocation: a little above the typical bytes per element (a point
+  /// with integer size and cost takes ~26), since falling short doubles
+  /// the buffer. Rendered documents may be retained (the daemon keeps
+  /// them for resumes), so the estimate must not overshoot much either.
+  static size_t sizeHint(const ReportInput &In) {
+    size_t N = 96;
+    for (const AlgorithmProfile &AP : *In.Profiles) {
+      N += 288 + AP.Label.size() + 60 * AP.Class.Inputs.size();
+      for (const AlgorithmProfile::InputSeries &Ser : AP.Series)
+        N += 144 + Ser.Kind.size() + 30 * Ser.Series.size() +
+             (Ser.Fit.Valid ? 144 : 0) + 200 * Ser.MeasureFits.size();
+    }
+    if (In.Degraded)
+      for (const resilience::FailureInfo &FI : *In.Degraded)
+        N += 192 + FI.Budget.size() + FI.Message.size();
+    return N;
+  }
+
   std::string renderDocument(const ReportInput &In) const override {
     std::string Out;
+    Out.reserve(sizeHint(In));
     Out += "{\n  \"schema\": \"algoprof-profile/2\",\n";
     Out += "  \"algorithms\": [";
     bool FirstAlgo = true;
@@ -148,24 +180,30 @@ class JsonReporter : public Reporter {
       Out += FirstAlgo ? "\n" : ",\n";
       FirstAlgo = false;
       Out += "    {\n";
-      Out += "      \"id\": " + std::to_string(AP.Algo.Id) + ",\n";
+      Out += "      \"id\": ";
+      appendInt(Out, AP.Algo.Id);
+      Out += ",\n";
       Out += "      \"label\": \"";
       appendEscaped(Out, AP.Label);
       Out += "\",\n";
       Out += "      \"classification\": {\n";
-      Out += std::string("        \"data_structureless\": ") +
-             (AP.Class.dataStructureless() ? "true" : "false") + ",\n";
-      Out += std::string("        \"does_input\": ") +
-             (AP.Class.DoesInput ? "true" : "false") + ",\n";
-      Out += std::string("        \"does_output\": ") +
-             (AP.Class.DoesOutput ? "true" : "false") + ",\n";
+      Out += "        \"data_structureless\": ";
+      Out += boolName(AP.Class.dataStructureless());
+      Out += ",\n        \"does_input\": ";
+      Out += boolName(AP.Class.DoesInput);
+      Out += ",\n        \"does_output\": ";
+      Out += boolName(AP.Class.DoesOutput);
+      Out += ",\n";
       Out += "        \"inputs\": [";
       bool FirstCls = true;
       for (const Classification::PerInput &PI : AP.Class.Inputs) {
         Out += FirstCls ? "\n" : ",\n";
         FirstCls = false;
-        Out += "          {\"input_id\": " + std::to_string(PI.InputId) +
-               ", \"class\": \"" + algorithmClassName(PI.Class) + "\"}";
+        Out += "          {\"input_id\": ";
+        appendInt(Out, PI.InputId);
+        Out += ", \"class\": \"";
+        Out += algorithmClassName(PI.Class);
+        Out += "\"}";
       }
       Out += FirstCls ? "]\n" : "\n        ]\n";
       Out += "      },\n";
@@ -178,15 +216,18 @@ class JsonReporter : public Reporter {
         Out += "          \"input_kind\": \"";
         appendEscaped(Out, Ser.Kind);
         Out += "\",\n";
-        Out += std::string("          \"interesting\": ") +
-               (Ser.Interesting ? "true" : "false") + ",\n";
+        Out += "          \"interesting\": ";
+        Out += boolName(Ser.Interesting);
+        Out += ",\n";
         Out += "          \"points\": [";
         bool FirstPt = true;
         for (const SeriesPoint &Pt : Ser.Series) {
-          Out += FirstPt ? "" : ", ";
+          Out += FirstPt ? "{\"size\": " : ", {\"size\": ";
           FirstPt = false;
-          Out += "{\"size\": " + fmtDouble(Pt.X) +
-                 ", \"cost\": " + fmtDouble(Pt.Y) + "}";
+          fmtDouble(Out, Pt.X);
+          Out += ", \"cost\": ";
+          fmtDouble(Out, Pt.Y);
+          Out += "}";
         }
         Out += "]";
         if (Ser.Interesting && Ser.Fit.Valid) {
@@ -219,14 +260,19 @@ class JsonReporter : public Reporter {
       for (const resilience::FailureInfo &FI : *In.Degraded) {
         Out += FirstDeg ? "\n" : ",\n";
         FirstDeg = false;
-        Out += "    {\"run\": " + std::to_string(FI.Run) +
-               ", \"status\": \"" + vm::runStatusName(FI.Status) +
-               "\", \"attempts\": " + std::to_string(FI.Attempts) +
-               ", \"budget\": \"";
+        Out += "    {\"run\": ";
+        appendInt(Out, FI.Run);
+        Out += ", \"status\": \"";
+        Out += vm::runStatusName(FI.Status);
+        Out += "\", \"attempts\": ";
+        appendInt(Out, FI.Attempts);
+        Out += ", \"budget\": \"";
         appendEscaped(Out, FI.Budget);
-        Out += std::string("\", \"quarantined\": ") +
-               (FI.Quarantined ? "true" : "false") + ", \"injected\": " +
-               (FI.Injected ? "true" : "false") + ", \"message\": \"";
+        Out += "\", \"quarantined\": ";
+        Out += boolName(FI.Quarantined);
+        Out += ", \"injected\": ";
+        Out += boolName(FI.Injected);
+        Out += ", \"message\": \"";
         appendEscaped(Out, FI.Message);
         Out += "\"}";
       }

@@ -64,6 +64,12 @@ private:
   virtual std::string renderDocument(const ReportInput &In) const = 0;
 };
 
+/// Appends \p V to \p Out exactly as printf's "%.17g" prints it: 17
+/// significant digits, enough for any double to read back unchanged,
+/// which the json format uses for every number of a series or fit.
+/// Formats through std::to_chars in general format at precision 17.
+void fmtDouble(std::string &Out, double V);
+
 /// Name -> Reporter map.
 class Registry {
 public:

@@ -30,6 +30,7 @@
 #include <algorithm>
 #include <numeric>
 #include <random>
+#include <unordered_set>
 
 using namespace algoprof;
 using namespace algoprof::prof;
@@ -48,13 +49,14 @@ struct Accumulator {
   explicit Accumulator(const CompiledProgram &CP, const SessionOptions &SO)
       : Acc(std::make_unique<AlgoProfiler>(CP.Prep, SO.Profile)), CP(CP) {}
 
-  void add(const AlgoProfiler &Shard, int64_t NumObjects) {
+  /// Merges \p Shard, consuming its tree (its input table stays).
+  void add(AlgoProfiler &Shard, int64_t NumObjects) {
     std::vector<int32_t> Remap =
         Acc->inputs().merge(Shard.inputs(), ObjIdOffset);
-    Acc->tree().merge(Shard.tree(), Remap);
+    Acc->tree().merge(std::move(Shard.tree()), Remap);
     ObjIdOffset += NumObjects;
   }
-  void add(const ShardRun &S) { add(*S.Prof, S.NumObjects); }
+  void add(ShardRun &S) { add(*S.Prof, S.NumObjects); }
 
   std::string profileSig(bool SortPoints = false) const {
     return testutil::profileSignature(
@@ -96,16 +98,20 @@ TEST(MergeTest, MergingOneShardIntoEmptyReproducesIt) {
   ShardRun S = testutil::runShard(*CP, SO, {12});
   ASSERT_TRUE(S.Result.ok()) << S.Result.TrapMessage;
 
+  // The merge consumes the shard's tree: take its signatures first.
+  std::string Tree = testutil::treeSignature(S.Prof->tree());
+  std::string Inputs = testutil::inputsSignature(S.Prof->inputs());
+  std::string Profiles = testutil::profileSignature(
+      buildProfilesFrom(S.Prof->tree(), S.Prof->inputs(), *CP),
+      S.Prof->inputs());
+
   Accumulator A(*CP, SO);
   A.add(S);
   // Offset 0 + empty destination: the merged state must equal the
   // shard's own, member ids included.
-  EXPECT_EQ(A.treeSig(), testutil::treeSignature(S.Prof->tree()));
-  EXPECT_EQ(A.inputsSig(), testutil::inputsSignature(S.Prof->inputs()));
-  EXPECT_EQ(A.profileSig(),
-            testutil::profileSignature(
-                buildProfilesFrom(S.Prof->tree(), S.Prof->inputs(), *CP),
-                S.Prof->inputs()));
+  EXPECT_EQ(A.treeSig(), Tree);
+  EXPECT_EQ(A.inputsSig(), Inputs);
+  EXPECT_EQ(A.profileSig(), Profiles);
 }
 
 TEST(MergeTest, MergingAnEmptyShardIsIdentity) {
@@ -113,7 +119,8 @@ TEST(MergeTest, MergingAnEmptyShardIsIdentity) {
   ASSERT_TRUE(CP);
   SessionOptions SO;
   Accumulator A(*CP, SO);
-  A.add(testutil::runShard(*CP, SO, {8}));
+  ShardRun S = testutil::runShard(*CP, SO, {8});
+  A.add(S);
   std::string Tree = A.treeSig(), Inputs = A.inputsSig(),
               Profiles = A.profileSig();
 
@@ -135,21 +142,24 @@ TEST(MergeTest, MergeIsAssociative) {
     auto CP = testutil::compile(Src);
     ASSERT_TRUE(CP);
     SessionOptions SO;
-    ShardRun A = testutil::runShard(*CP, SO, {4});
-    ShardRun B = testutil::runShard(*CP, SO, {8});
-    ShardRun C = testutil::runShard(*CP, SO, {12});
-    ASSERT_TRUE(A.Result.ok() && B.Result.ok() && C.Result.ok());
-
+    // Merges consume shard trees, so each side runs its own shards.
+    auto Run = [&](int64_t Seed) {
+      ShardRun S = testutil::runShard(*CP, SO, {Seed});
+      EXPECT_TRUE(S.Result.ok()) << S.Result.TrapMessage;
+      return S;
+    };
+    ShardRun A = Run(4), B = Run(8), C = Run(12);
     Accumulator Left(*CP, SO);
     Left.add(A);
     Left.add(B);
     Left.add(C);
 
+    ShardRun A2 = Run(4), B2 = Run(8), C2 = Run(12);
     Accumulator BC(*CP, SO);
-    BC.add(B);
-    BC.add(C);
+    BC.add(B2);
+    BC.add(C2);
     Accumulator Right(*CP, SO);
-    Right.add(A);
+    Right.add(A2);
     Right.add(*BC.Acc, BC.ObjIdOffset);
 
     EXPECT_EQ(Left.treeSig(), Right.treeSig());
@@ -165,20 +175,20 @@ TEST(MergeTest, ValueDisjointRunsAreOrderInvariant) {
   auto CP = testutil::compile(DisjointValuesProgram);
   ASSERT_TRUE(CP);
   SessionOptions SO;
-  std::vector<ShardRun> Shards;
-  for (int64_t Seed : {1, 2, 3, 4, 5}) {
-    Shards.push_back(testutil::runShard(*CP, SO, {Seed}));
-    ASSERT_TRUE(Shards.back().Result.ok());
-  }
+  const std::vector<int64_t> Seeds = {1, 2, 3, 4, 5};
 
+  // Merges consume shard trees, so every order runs its own shards.
   auto SigOf = [&](const std::vector<size_t> &Order) {
     Accumulator A(*CP, SO);
-    for (size_t I : Order)
-      A.add(Shards[I]);
+    for (size_t I : Order) {
+      ShardRun S = testutil::runShard(*CP, SO, {Seeds[I]});
+      EXPECT_TRUE(S.Result.ok()) << S.Result.TrapMessage;
+      A.add(S);
+    }
     return A.profileSig(/*SortPoints=*/true);
   };
 
-  std::vector<size_t> Order(Shards.size());
+  std::vector<size_t> Order(Seeds.size());
   std::iota(Order.begin(), Order.end(), 0u);
   std::string Baseline = SigOf(Order);
   EXPECT_NE(Baseline.find("algo"), std::string::npos);
@@ -226,7 +236,9 @@ TEST(MergeTest, TreeMergeAlignsByKeyAndOffsetsParents) {
   SrcY.History.push_back(StepRecord(&Src.root(), 11, 0));
   SrcY.TotalInvocations = 1;
 
-  Dst.merge(Src, {});
+  Dst.merge(std::move(Src), {});
+  // The records moved out of the shard tree.
+  EXPECT_TRUE(Src.root().History.empty());
 
   EXPECT_EQ(Dst.numRepetitions(), 2);
   ASSERT_EQ(Dst.root().History.size(), 3u);
@@ -250,6 +262,85 @@ TEST(MergeTest, TreeMergeAlignsByKeyAndOffsetsParents) {
   EXPECT_EQ(Y->History[0].Costs.steps(), 11);
   EXPECT_EQ(Y->History[0].ParentInvocation, 1);
   EXPECT_EQ(Y->History[0].ParentNode, &Dst.root());
+}
+
+/// Seed 0 builds one array {1, 2}. Any other seed builds s1, first
+/// accessed holding {1}, then s2, first accessed holding {9}, and only
+/// then stores 9 into s1: the shard's s1 overlaps the seed-0 array and
+/// ends up holding 9, which s2's identification-time values contain.
+const char *OverlapOrderProgram = R"MJ(
+class Main {
+  static void main() {
+    int seed = 0;
+    if (hasInput()) {
+      seed = readInt();
+    }
+    if (seed == 0) {
+      int[] a = new int[2];
+      a[0] = 1;
+      a[1] = 2;
+    } else {
+      int[] s1 = new int[2];
+      s1[0] = 1;
+      int[] s2 = new int[1];
+      s2[0] = 9;
+      s1[1] = 9;
+    }
+  }
+}
+)MJ";
+
+std::vector<int64_t> sortedValues(const std::unordered_set<int64_t> &S) {
+  std::vector<int64_t> V(S.begin(), S.end());
+  std::sort(V.begin(), V.end());
+  return V;
+}
+
+TEST(MergeTest, ArrayOverlapsAreDecidedAgainstPreMergeValueSets) {
+  // A serial session identifies s2 while the unified array holds {1, 2}
+  // plus s1's {1}: no overlap, so s2 is a new input, even though the
+  // merge later folds s1's 9 into that array. The shard merge must
+  // decide s2's overlap against the value sets from before the merge.
+  auto CP = testutil::compile(OverlapOrderProgram);
+  ASSERT_TRUE(CP);
+  SessionOptions SO;
+  ShardRun First = testutil::runShard(*CP, SO, {0});
+  ShardRun Second = testutil::runShard(*CP, SO, {1});
+  ASSERT_TRUE(First.Result.ok() && Second.Result.ok());
+
+  const InputTable &FT = First.Prof->inputs();
+  ASSERT_EQ(FT.liveHeapInputs().size(), 1u);
+  int32_t A = FT.liveHeapInputs()[0];
+  EXPECT_EQ(sortedValues(FT.info(A).ValueSet), (std::vector<int64_t>{1, 2}));
+
+  const InputTable &ST = Second.Prof->inputs();
+  ASSERT_EQ(ST.liveHeapInputs().size(), 2u);
+  int32_t S1 = ST.liveHeapInputs()[0], S2 = ST.liveHeapInputs()[1];
+  EXPECT_EQ(sortedValues(ST.info(S1).SeedValues), (std::vector<int64_t>{1}));
+  EXPECT_EQ(sortedValues(ST.info(S1).ValueSet),
+            (std::vector<int64_t>{1, 9}));
+  EXPECT_EQ(sortedValues(ST.info(S2).SeedValues), (std::vector<int64_t>{9}));
+
+  Accumulator Acc(*CP, SO);
+  Acc.add(First);
+  std::vector<int32_t> Remap =
+      Acc.Acc->inputs().merge(ST, Acc.ObjIdOffset);
+  const InputTable &Merged = Acc.Acc->inputs();
+  EXPECT_EQ(Merged.canonical(Remap[static_cast<size_t>(S1)]),
+            Merged.canonical(A));
+  EXPECT_NE(Merged.canonical(Remap[static_cast<size_t>(S2)]),
+            Merged.canonical(A));
+  EXPECT_EQ(sortedValues(Merged.info(A).ValueSet),
+            (std::vector<int64_t>{1, 2, 9}));
+
+  ProfileSession Serial(*CP, SO);
+  for (int64_t Seed : {0, 1}) {
+    vm::IoChannels Io;
+    Io.Input = {Seed};
+    ASSERT_TRUE(Serial.run("Main", "main", Io).ok());
+  }
+  EXPECT_EQ(testutil::inputsSignature(Merged),
+            testutil::inputsSignature(Serial.inputs()));
 }
 
 TEST(MergeTest, InputTableMergeRemapsAndTranslatesMemberIds) {

@@ -236,7 +236,7 @@ TEST_F(ObsTest, PipelineIsInstrumented) {
        {obs::Phase::Lex, obs::Phase::Parse, obs::Phase::Sema,
         obs::Phase::Compile, obs::Phase::Verify, obs::Phase::Prepare,
         obs::Phase::VmRun, obs::Phase::Grouping, obs::Phase::Classify,
-        obs::Phase::BuildProfiles})
+        obs::Phase::Combine, obs::Phase::BuildProfiles})
     EXPECT_GE(phaseCalls(S, P), 1u) << obs::phaseName(P);
   EXPECT_GT(counter(S, obs::Counter::BytecodesExecuted), 0u);
   EXPECT_EQ(counter(S, obs::Counter::RunsCompleted), 1u);
