@@ -130,11 +130,14 @@ TypedResult Session::wait() {
     if (RS == ReadStatus::Eof) {
       // Clean close: valid after Done or Error, truncated otherwise.
       if (!HaveDone && !HaveError)
-        setTransportError(R, "stream ended before done/error");
+        setTransportError(R, SubmitError.empty()
+                                 ? "stream ended before done/error"
+                                 : SubmitError);
       break;
     }
     if (RS != ReadStatus::Ok) {
-      setTransportError(R, "broken reply stream");
+      setTransportError(R, SubmitError.empty() ? "broken reply stream"
+                                               : SubmitError);
       break;
     }
     switch (F.Type) {
@@ -234,9 +237,12 @@ Session Client::submitTimed(const JobSpec &Spec, uint64_t TimeoutMs) const {
   JobSpec Job = Spec;
   if (Tcp && Job.Auth.empty())
     Job.Auth = Token;
+  // A failed send keeps the socket: a daemon that rejects at accept
+  // (session limit) may answer and close before the job is written,
+  // and its Error frame is still waiting to be read. The half-close
+  // lets a daemon still reading the cut frame answer at once.
   if (!sendFrame(S.Fd, FrameType::Job, encodeJobRequest(Job))) {
-    ::close(S.Fd);
-    S.Fd = -1;
+    ::shutdown(S.Fd, SHUT_WR);
     S.SubmitError = "connection dropped while sending the job";
   }
   return S;

@@ -127,7 +127,9 @@ private:
   Session() = default;
 
   int Fd = -1;
-  std::string SubmitError; ///< Non-empty: submit failed before I/O.
+  /// Non-empty: submit failed. With Fd < 0 nothing was connected;
+  /// otherwise the job send failed and wait() still reads any reply.
+  std::string SubmitError;
   std::function<void(const RunDeltaMsg &)> Delta;
 };
 

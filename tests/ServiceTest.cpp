@@ -871,6 +871,26 @@ TEST(ServiceDaemon, RejectsWhenSessionLimitReached) {
   EXPECT_TRUE(Admitted);
 }
 
+TEST(ServiceDaemon, SessionLimitReplyReachesAClientStillSending) {
+  DaemonOptions O;
+  O.MaxSessions = 1;
+  O.ReadTimeoutMs = 10000;
+  DaemonFixture F(std::move(O));
+  int Holder = rawConnect(F.Opts.SocketPath);
+  ASSERT_GE(Holder, 0);
+
+  // A job far larger than the socket buffer: the daemon rejects at
+  // accept and closes before the client has written it, so the send
+  // fails. The rejection sent before the close must still be reported.
+  JobSpec Job;
+  Job.Source = std::string(8u << 20, 'x');
+  Job.Seeds = {4};
+  TypedResult R = runTyped(F.Opts.SocketPath, Job);
+  EXPECT_FALSE(R.Error.Transport) << R.Error.Message;
+  EXPECT_EQ(errc::TooManySessions, R.Error.Code) << R.Error.Message;
+  ::close(Holder);
+}
+
 TEST(ServiceDaemon, CompileErrorsAreAnsweredAndNotPermanent) {
   DaemonFixture F;
   const std::string Broken = "class Main { static void main() { ";
