@@ -214,24 +214,45 @@ void InputTable::beginTraversal() {
   if (++MarkGen == 0) {
     std::fill(Marks.begin(), Marks.end(), 0);
     MarkGen = 1;
+    Last.Gen = 0; // Its marks are gone.
   }
   Work.clear();
   WorkHead = 0;
 }
 
-SizeMeasures InputTable::traverseStructure(
-    ObjId Start, std::vector<std::pair<ObjId, int32_t>> &Visited) {
-  ++Snapshots;
+template <bool Certify>
+SizeMeasures
+InputTable::structureBfs(ObjId Start,
+                         std::vector<std::pair<ObjId, int32_t>> &Visited,
+                         bool &Closed) {
   SizeMeasures Sizes;
   beginTraversal();
   Visited.clear();
   Work.push_back(Start);
   mark(Start);
+  if constexpr (Certify) {
+    WorkFrom.clear();
+    WorkFrom.push_back(NullObj);
+  }
+  // Follows the edge Cur -> Next. Certifying, Back records whether the
+  // edge leads back to From, the object Cur was reached from.
+  auto Follow = [&](ObjId Cur, ObjId From, ObjId Next, bool &Back) {
+    if constexpr (Certify)
+      Back |= Next == From;
+    if (!mark(Next))
+      return;
+    Work.push_back(Next);
+    if constexpr (Certify)
+      if (Closed)
+        WorkFrom.push_back(Cur);
+  };
 
   uint64_t Steps = 0;
   while (WorkHead < Work.size()) {
     ++Steps;
+    ObjId From = Certify && Closed ? WorkFrom[WorkHead] : NullObj;
     ObjId Cur = Work[WorkHead++];
+    bool Back = From == NullObj;
     const HeapObject &Obj = H->get(Cur);
 
     if (Obj.IsArray) {
@@ -240,29 +261,50 @@ SizeMeasures InputTable::traverseStructure(
         if (!Elem.IsRef || Elem.isNullRef())
           continue;
         ++Sizes.RefCount;
-        if (mark(Elem.ref()))
-          Work.push_back(Elem.ref());
+        Follow(Cur, From, Elem.ref(), Back);
       }
-      continue;
+    } else {
+      ++Sizes.ObjectCount;
+      Visited.emplace_back(Cur, Obj.ClassId);
+      const ClassInfo &C = M.Classes[static_cast<size_t>(Obj.ClassId)];
+      for (size_t Slot = 0; Slot < C.FieldIds.size(); ++Slot) {
+        if (!RT.isLinkField(C.FieldIds[Slot]))
+          continue;
+        const Value &V = Obj.Slots[Slot];
+        if (V.IsRef && !V.isNullRef())
+          Follow(Cur, From, V.ref(), Back);
+      }
     }
-
-    ++Sizes.ObjectCount;
-    Visited.emplace_back(Cur, Obj.ClassId);
-
-    const ClassInfo &C = M.Classes[static_cast<size_t>(Obj.ClassId)];
-    for (size_t Slot = 0; Slot < C.FieldIds.size(); ++Slot) {
-      int32_t FieldId = C.FieldIds[Slot];
-      if (!RT.isLinkField(FieldId))
-        continue;
-      const Value &V = Obj.Slots[Slot];
-      if (!V.IsRef || V.isNullRef())
-        continue;
-      if (mark(V.ref()))
-        Work.push_back(V.ref());
-    }
+    if constexpr (Certify)
+      Closed &= Back;
   }
   obs::addCount(obs::Counter::TraversalSteps, Steps);
   return Sizes;
+}
+
+SizeMeasures InputTable::traverseStructure(
+    ObjId Start, std::vector<std::pair<ObjId, int32_t>> &Visited) {
+  ++Snapshots;
+  // AllElements has its own memo: its traversals skip the certificate.
+  bool Closed = true;
+  if (Strategy == EquivalenceStrategy::AllElements)
+    return structureBfs<false>(Start, Visited, Closed);
+  SizeMeasures Sizes = structureBfs<true>(Start, Visited, Closed);
+  Last = {HeapEpoch, MarkBase, MarkGen, Start, -1, Closed, Sizes};
+  return Sizes;
+}
+
+bool InputTable::reusesLast(ObjId Ref, int32_t Input) const {
+  if (Last.Gen == 0 || Last.Input < 0 || Last.Epoch != HeapEpoch ||
+      Last.Base != H->numObjects() - H->numLiveObjects() ||
+      canonical(Last.Input) != Input)
+    return false;
+  if (Ref == Last.Start)
+    return true;
+  // Last's marks still hold its generation exactly where it visited:
+  // later traversals stamp newer generations, and a wrap clears Last.
+  size_t Idx = static_cast<size_t>(Ref - Last.Base);
+  return Last.Closed && Idx < Marks.size() && Marks[Idx] == Last.Gen;
 }
 
 SizeMeasures InputTable::measureArrayObject(ObjId Arr) {
@@ -382,6 +424,8 @@ int32_t InputTable::identifyStructureSnapshot(ObjId Start) {
                       structureLabel(M, StartClass));
   for (const auto &[Obj, ClassId] : Visited)
     assign(Obj, Target, ClassId);
+  if (Strategy != EquivalenceStrategy::AllElements)
+    Last.Input = Target;
   return canonical(Target);
 }
 
@@ -744,6 +788,10 @@ SizeMeasures InputTable::measureFrom(ObjId Ref, int32_t Input) {
   // traverses afresh.
   if (AllElements && !RefIsArray)
     return snapshotAt(Ref).Sizes;
+  if (reusesLast(Ref, Input)) {
+    obs::addCount(obs::Counter::SnapshotsReused);
+    return Last.Sizes;
+  }
   // Refresh membership under overlap-style strategies so later accesses
   // take the fast path.
   SizeMeasures Sizes = traverseStructure(Ref, VisitedScratch);
@@ -751,6 +799,7 @@ SizeMeasures InputTable::measureFrom(ObjId Ref, int32_t Input) {
       Strategy == EquivalenceStrategy::SameArray)
     for (const auto &[Obj, ClassId] : VisitedScratch)
       assign(Obj, Input, ClassId);
+  Last.Input = Input;
   return Sizes;
 }
 

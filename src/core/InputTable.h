@@ -14,8 +14,11 @@
 /// touches objects not yet attributed to any input — exactly the paper's
 /// first-access / exit-remeasure optimization.
 ///
-/// Eager sizing traverses every touched input twice per invocation, so
-/// snapshots allocate and hash nothing per visited object:
+/// Eager sizing measures every touched input twice per invocation (paper
+/// Sec. 3.4: first access and exit). A measurement reuses the last
+/// structure traversal when it provably equals a fresh one (see
+/// measureFrom), and the traversals it does take allocate and hash
+/// nothing per visited object:
 ///  - Dense owner map. Heap ids are dense across a session (a heap
 ///    recycled between runs keeps its id space), so ObjToInput is a
 ///    vector indexed by object id, -1 for unattributed. It costs 4
@@ -44,6 +47,17 @@
 ///    run start. Traversals are memoized per start object while the
 ///    epoch is unchanged, so accesses with no write in between share
 ///    one traversal. The memo's size is bounded (see snapshotAt).
+///
+/// The other strategies keep one memo entry: the last structure
+/// traversal, with its epoch, mark generation, start object, input and
+/// sizes. A traversal is *closed* when every BFS tree edge u->v has a
+/// link back v->u; then every visited object reaches the start, so a
+/// traversal from any of them visits the same set and finds the same
+/// ObjectCount and RefCount. measureFrom reuses the entry while the
+/// epoch holds, for its start object and, when closed, for any object
+/// its marks still name. A per-input dirty flag would not be exact
+/// here: a snapshot depends on its start reference (a singly linked
+/// list measured from an interior node reaches only the suffix).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -176,7 +190,13 @@ public:
 
   /// Full snapshot from \p Ref attributed to input \p Input; refreshes
   /// membership (SomeElements) and returns the measures. \p Ref may be
-  /// any object previously attributed to the input.
+  /// any object previously attributed to the input. A structure
+  /// snapshot reuses the last structure traversal's sizes, without
+  /// traversing, when all of these hold: no heap write or run start
+  /// since (the epoch) and the same heap id base; that traversal's
+  /// input is \p Input (so refreshing membership would change
+  /// nothing); and \p Ref is its start object, or the traversal was
+  /// closed and visited \p Ref.
   SizeMeasures measureFrom(vm::ObjId Ref, int32_t Input);
 
   /// O(1) approximate size from tracked membership (no traversal); used
@@ -231,8 +251,10 @@ public:
     return static_cast<int>(Inputs.size());
   }
 
-  /// Number of traversals taken (overhead accounting). A memoized
-  /// AllElements snapshot counts once, however often it is reused.
+  /// Number of traversals taken (overhead accounting). A reused
+  /// snapshot counts zero traversals: a memoized AllElements snapshot
+  /// counts once, however often it is reused, and so does a structure
+  /// traversal that measureFrom reuses.
   int64_t snapshotsTaken() const { return Snapshots; }
 
 private:
@@ -267,10 +289,24 @@ private:
 
   /// BFS over recursive links and arrays from \p Start (a class
   /// instance); sets \p Visited to the (objId, classId-or-minus-1 for
-  /// arrays) pairs in visit order.
+  /// arrays) pairs in visit order. Under strategies other than
+  /// AllElements it also becomes the Last entry, with no input yet.
   SizeMeasures
   traverseStructure(vm::ObjId Start,
                     std::vector<std::pair<vm::ObjId, int32_t>> &Visited);
+
+  /// traverseStructure's BFS. With \p Certify it also clears \p Closed
+  /// unless every object but \p Start links back to the object it was
+  /// reached from (the closedness certificate, see the file comment).
+  template <bool Certify>
+  SizeMeasures
+  structureBfs(vm::ObjId Start,
+               std::vector<std::pair<vm::ObjId, int32_t>> &Visited,
+               bool &Closed);
+
+  /// Whether measuring input \p Input from \p Ref may return Last's
+  /// sizes (see measureFrom).
+  bool reusesLast(vm::ObjId Ref, int32_t Input) const;
 
   SizeMeasures measureArrayObject(vm::ObjId Arr);
 
@@ -326,11 +362,28 @@ private:
   vm::ObjId MarkBase = 0;      ///< The heap id Marks[0] stands for.
   std::vector<vm::ObjId> Work; ///< BFS worklist; WorkHead is its front.
   size_t WorkHead = 0;
+  /// Per Work entry: the object it was reached from (structure
+  /// traversals while they are still closed).
+  std::vector<vm::ObjId> WorkFrom;
   std::vector<std::pair<vm::ObjId, int32_t>> VisitedScratch;
   std::vector<int64_t> LevelValues; ///< One array level's element values.
 
+  uint64_t HeapEpoch = 0; ///< See noteHeapWrite.
+
+  /// Every other strategy: the last structure traversal (see the file
+  /// comment and measureFrom).
+  struct LastTraversal {
+    uint64_t Epoch = 0;
+    vm::ObjId Base = 0; ///< The heap id its marks are relative to.
+    uint32_t Gen = 0;   ///< Its mark generation; 0 when there is none.
+    vm::ObjId Start = vm::NullObj;
+    int32_t Input = -1; ///< The input it was attributed to; -1 if none.
+    bool Closed = false;
+    SizeMeasures Sizes;
+  };
+  LastTraversal Last;
+
   // AllElements only (see the file comment).
-  uint64_t HeapEpoch = 0;
   uint64_t MemoEpoch = 0; ///< The epoch Memo's traversals belong to.
   std::unordered_map<int64_t, Snapshot> Memo;
   size_t MemoEntries = 0; ///< Starts plus visited objects held in Memo.

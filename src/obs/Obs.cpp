@@ -69,6 +69,8 @@ const char *obs::counterName(Counter C) {
     return "tree_nodes";
   case Counter::TraversalSteps:
     return "traversal_steps";
+  case Counter::SnapshotsReused:
+    return "snapshots_reused";
   case Counter::ListenerEvents:
     return "listener_events";
   case Counter::FitEvaluations:

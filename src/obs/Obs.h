@@ -81,6 +81,7 @@ enum class Counter : uint8_t {
   HeapObjects,       ///< Objects + arrays allocated.
   TreeNodes,         ///< Repetition tree nodes created (merges included).
   TraversalSteps,    ///< Objects/slots visited by input-size snapshots.
+  SnapshotsReused,   ///< Structure snapshots answered by the last traversal.
   ListenerEvents,    ///< Hot profiler callbacks delivered.
   FitEvaluations,    ///< Candidate models evaluated by the fitter.
   ShardsMerged,      ///< Sweep shards folded into an accumulator.

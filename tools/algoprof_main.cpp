@@ -605,6 +605,8 @@ int runTool(int Argc, char **Argv) {
   std::vector<AlgorithmProfile> Profiles =
       Driver.buildProfiles(Opts.Grouping);
 
+  // "structure snapshots" counts traversals taken: a snapshot that
+  // reused an earlier traversal (InputTable::measureFrom) counts zero.
   std::printf("%d run(s), %llu bytecode instructions, %d repetitions, "
               "%d input(s), %lld structure snapshots\n\n",
               static_cast<int>(Results.size()),

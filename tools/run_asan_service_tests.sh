@@ -30,7 +30,12 @@
 # shard merge moves invocation records out of the shard tree and remaps
 # their ids in place, and cost combination buckets records into root
 # rows by computed offsets, so a use of a moved-from record or a slip
-# in the bucket offsets reads freed or foreign memory.
+# in the bucket offsets reads freed or foreign memory. `^InputTable\.`
+# also selects the snapshot-reuse oracles (`InputTable.SnapshotReuse*`,
+# `InputTable.InteriorNodeOfSinglyLinkedListIsNotReused`): a reused
+# Eager snapshot reads the marks at `id - base` for the base of an
+# earlier traversal, across runs on a recycled heap, so a stale base or
+# a missing bound check would read out of bounds.
 #
 # Usage: run_asan_service_tests.sh <source-dir> <binary-dir> [jobs]
 set -euo pipefail
