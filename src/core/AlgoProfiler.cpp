@@ -30,28 +30,19 @@ bool isStructAccess(CostKind K) {
   return K == CostKind::StructGet || K == CostKind::StructPut;
 }
 
-/// The costs in \p Slots (sorted, one per key) as a CostMap. Structure
-/// accesses were counted only per type; each input-level GET/PUT entry
-/// is the sum of that input's per-type entries, which directly precede
-/// it in key order.
-CostMap sortedCosts(const std::vector<CostMap::Entry> &Slots) {
-  auto StartsInput = [&Slots](size_t I) {
-    const CostKey &K = Slots[I].first;
-    return isStructAccess(K.Kind) &&
-           (I == 0 || Slots[I - 1].first.Kind != K.Kind ||
-            Slots[I - 1].first.InputId != K.InputId);
-  };
-  size_t NumInputLevel = 0;
-  for (size_t I = 0; I < Slots.size(); ++I)
-    NumInputLevel += StartsInput(I);
-  std::vector<CostMap::Entry> Out;
-  Out.reserve(Slots.size() + NumInputLevel);
+/// Appends the costs in \p Slots (sorted, one per key) to \p Out.
+/// Structure accesses were counted only per type; each input-level
+/// GET/PUT entry is the sum of that input's per-type entries, which
+/// directly precede it in key order.
+void appendSortedCosts(const std::vector<CostEntry> &Slots,
+                       std::vector<CostEntry> &Out) {
   size_t InputLevel = 0;
   for (size_t I = 0; I < Slots.size(); ++I) {
     const auto &[Key, N] = Slots[I];
     if (isStructAccess(Key.Kind)) {
       assert(Key.TypeId >= 0 && "structure access counted without a type");
-      if (StartsInput(I)) {
+      if (I == 0 || Slots[I - 1].first.Kind != Key.Kind ||
+          Slots[I - 1].first.InputId != Key.InputId) {
         InputLevel = Out.size();
         Out.push_back({{Key.Kind, Key.InputId, -1}, 0});
       }
@@ -59,7 +50,16 @@ CostMap sortedCosts(const std::vector<CostMap::Entry> &Slots) {
     }
     Out.push_back({Key, N});
   }
-  return CostMap(std::move(Out));
+}
+
+/// Canonicalizes the cost entries \p Column holds from \p Begin on,
+/// drops the ones that folded away, and returns their range.
+template <typename Fn>
+ColumnRange closeCostRange(std::vector<CostEntry> &Column, size_t Begin,
+                           Fn Canonical) {
+  Column.resize(Begin + canonicalizeCostInputs(
+                            std::span(Column).subspan(Begin), Canonical));
+  return ColumnRange::between(Begin, Column.size());
 }
 
 } // namespace
@@ -132,7 +132,9 @@ void AlgoProfiler::finalizeTop() {
     // point is lost.
     assert(Stack.size() >= 2 && "sampled activation without a parent");
     Activation &Parent = *Stack[Stack.size() - 2].A;
-    Parent.FoldedCosts.merge(sortedCosts(A.Costs.sortByKey()));
+    std::vector<CostEntry> Own;
+    appendSortedCosts(A.Costs.sortByKey(), Own);
+    Parent.FoldedCosts.merge(CostSpan(Own));
     Parent.FoldedCosts.merge(A.FoldedCosts);
     for (const auto &[Input, Live] : A.Inputs.sortByKey()) {
       bool New = false;
@@ -162,18 +164,23 @@ void AlgoProfiler::finalizeTop() {
                      Sizes.UniqueElems, Sizes.RefCount);
   }
 
-  // Collapse inputs that were merged during the invocation.
-  R.Costs = sortedCosts(A.Costs.sortByKey());
-  R.Costs.canonicalizeInputs(
-      [this](int32_t Id) { return Inputs.canonical(Id); });
-  R.FoldedCosts = std::move(A.FoldedCosts);
-  R.FoldedCosts.canonicalizeInputs(
-      [this](int32_t Id) { return Inputs.canonical(Id); });
-  std::vector<InputUses::Entry> Uses;
-  Uses.reserve(LiveInputs.size());
+  // Append the record's ranges to its node's columns, collapsing inputs
+  // that were merged during the invocation.
+  auto Canonical = [this](int32_t Id) { return Inputs.canonical(Id); };
+  std::vector<CostEntry> &Costs = A.Node->CostColumn;
+  size_t Begin = Costs.size();
+  appendSortedCosts(A.Costs.sortByKey(), Costs);
+  R.Costs = closeCostRange(Costs, Begin, Canonical);
+  Begin = Costs.size();
+  Costs.insert(Costs.end(), A.FoldedCosts.entries().begin(),
+               A.FoldedCosts.entries().end());
+  R.FoldedCosts = closeCostRange(Costs, Begin, Canonical);
+  std::vector<UseEntry> &Uses = A.Node->UseColumn;
+  Begin = Uses.size();
   for (const auto &[Input, Live] : LiveInputs)
     Uses.emplace_back(Inputs.canonical(Input), Live.Use);
-  R.Inputs = InputUses::fold(std::move(Uses));
+  Uses.resize(Begin + sortAndFoldUses(std::span(Uses).subspan(Begin)));
+  R.Inputs = ColumnRange::between(Begin, Uses.size());
   R.Finalized = true;
   popOwned(A);
 }

@@ -178,7 +178,8 @@ private:
   struct Activation {
     RepetitionNode *Node = nullptr;
     int32_t InvocationIndex = -1; ///< -1 when sampled out.
-    /// This invocation's own costs, sorted into a CostMap at finalize.
+    /// This invocation's own costs, sorted into the node's cost column
+    /// at finalize.
     /// Structure accesses count only the per-type GET/PUT key; the
     /// input-level key is derived from those at finalize.
     SlotTable<CostKey, int64_t, CostKeyHash> Costs;

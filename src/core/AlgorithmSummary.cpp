@@ -63,14 +63,12 @@ algoprof::prof::combineInvocations(const Algorithm &A, const InputTable &T) {
       ++Start[static_cast<size_t>(Row) + 1];
   for (size_t I = 1; I < Start.size(); ++I)
     Start[I] += Start[I - 1];
-  std::vector<const InvocationRecord *> Members(Start.back());
+  std::vector<RecordView> Members(Start.back());
   std::vector<size_t> Fill(Start.begin(), Start.end() - 1);
-  for (size_t NI = 0; NI < A.Nodes.size(); ++NI) {
-    const std::vector<InvocationRecord> &History = A.Nodes[NI]->History;
-    for (size_t I = 0; I < History.size(); ++I)
+  for (size_t NI = 0; NI < A.Nodes.size(); ++NI)
+    for (size_t I = 0; I < A.Nodes[NI]->History.size(); ++I)
       if (int32_t Row = RootRow[Base[NI] + I]; Row >= 0)
-        Members[Fill[static_cast<size_t>(Row)]++] = &History[I];
-  }
+        Members[Fill[static_cast<size_t>(Row)]++] = A.Nodes[NI]->record(I);
 
   // Build each finalized root row once: its records' canonicalized
   // entries, then one sort. Costs folded up from sampled-out children
@@ -83,18 +81,17 @@ algoprof::prof::combineInvocations(const Algorithm &A, const InputTable &T) {
       continue;
     size_t NumCosts = 0, NumUses = 0;
     for (size_t M = Start[Row]; M < Start[Row + 1]; ++M) {
-      NumCosts += Members[M]->Costs.entries().size() +
-                  Members[M]->FoldedCosts.entries().size();
-      NumUses += Members[M]->Inputs.size();
+      NumCosts += Members[M].Costs.size() + Members[M].FoldedCosts.size();
+      NumUses += Members[M].Inputs.size();
     }
     std::vector<CostMap::Entry> Costs;
     Costs.reserve(NumCosts);
     std::vector<InputUses::Entry> Uses;
     Uses.reserve(NumUses);
     for (size_t M = Start[Row]; M < Start[Row + 1]; ++M) {
-      const InvocationRecord &R = *Members[M];
-      for (const CostMap *Map : {&R.Costs, &R.FoldedCosts})
-        for (const auto &[Key, N] : Map->entries())
+      const RecordView &R = Members[M];
+      for (CostSpan Map : {R.Costs, R.FoldedCosts})
+        for (const auto &[Key, N] : Map)
           Costs.push_back(
               {{Key.Kind, Canonical(Key.InputId), Key.TypeId}, N});
       for (const auto &[Id, Use] : R.Inputs)

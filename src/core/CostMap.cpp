@@ -3,7 +3,6 @@
 #include "core/CostMap.h"
 
 #include <algorithm>
-#include <cassert>
 #include <limits>
 
 using namespace algoprof;
@@ -35,22 +34,50 @@ const char *algoprof::prof::costKindLabel(CostKind K) {
 
 namespace {
 
-bool keyLess(const CostMap::Entry &E, const CostKey &K) { return E.first < K; }
+bool keyLess(const CostEntry &E, const CostKey &K) { return E.first < K; }
 
 } // namespace
 
-CostMap::CostMap(std::vector<Entry> Sorted) : Counts(std::move(Sorted)) {
-  assert(std::adjacent_find(Counts.begin(), Counts.end(),
-                            [](const Entry &A, const Entry &B) {
-                              return !(A.first < B.first);
-                            }) == Counts.end() &&
-         "cost entries must be strictly ascending");
+size_t algoprof::prof::sortAndCoalesce(std::span<CostEntry> Entries) {
+  auto Less = [](const CostEntry &A, const CostEntry &B) {
+    return A.first < B.first;
+  };
+  if (!std::is_sorted(Entries.begin(), Entries.end(), Less))
+    std::sort(Entries.begin(), Entries.end(), Less);
+  size_t Out = 0;
+  for (size_t I = 0; I < Entries.size(); ++I) {
+    if (Out > 0 && Entries[Out - 1].first == Entries[I].first)
+      Entries[Out - 1].second += Entries[I].second;
+    else
+      Entries[Out++] = Entries[I];
+  }
+  return Out;
+}
+
+int64_t CostSpan::get(CostKey Key) const {
+  auto It = std::lower_bound(Entries.begin(), Entries.end(), Key, keyLess);
+  return It != Entries.end() && It->first == Key ? It->second : 0;
+}
+
+int64_t CostSpan::total(CostKind K, int32_t InputId) const {
+  if (InputId >= 0)
+    return get({K, InputId, -1});
+  // Keys of one kind are contiguous; the smallest one starts the range.
+  CostKey First{K, std::numeric_limits<int32_t>::min(),
+                std::numeric_limits<int32_t>::min()};
+  int64_t Sum = 0;
+  for (auto It = std::lower_bound(Entries.begin(), Entries.end(), First,
+                                  keyLess);
+       It != Entries.end() && It->first.Kind == K; ++It)
+    if (It->first.TypeId == -1)
+      Sum += It->second;
+  return Sum;
 }
 
 CostMap CostMap::sum(std::vector<Entry> Entries) {
   CostMap M;
   M.Counts = std::move(Entries);
-  M.sortAndCoalesce();
+  M.Counts.resize(sortAndCoalesce(M.Counts));
   return M;
 }
 
@@ -62,32 +89,12 @@ void CostMap::add(CostKey Key, int64_t N) {
     Counts.insert(It, {Key, N});
 }
 
-int64_t CostMap::get(CostKey Key) const {
-  auto It = std::lower_bound(Counts.begin(), Counts.end(), Key, keyLess);
-  return It != Counts.end() && It->first == Key ? It->second : 0;
-}
-
-int64_t CostMap::total(CostKind K, int32_t InputId) const {
-  if (InputId >= 0)
-    return get({K, InputId, -1});
-  // Keys of one kind are contiguous; the smallest one starts the range.
-  CostKey First{K, std::numeric_limits<int32_t>::min(),
-                std::numeric_limits<int32_t>::min()};
-  int64_t Sum = 0;
-  for (auto It = std::lower_bound(Counts.begin(), Counts.end(), First,
-                                  keyLess);
-       It != Counts.end() && It->first.Kind == K; ++It)
-    if (It->first.TypeId == -1)
-      Sum += It->second;
-  return Sum;
-}
-
-void CostMap::merge(const CostMap &Other) {
-  const std::vector<Entry> &B = Other.Counts;
+void CostMap::merge(CostSpan Other) {
+  std::span<const Entry> B = Other.entries();
   if (B.empty())
     return;
   if (Counts.empty()) {
-    Counts = B;
+    Counts.assign(B.begin(), B.end());
     return;
   }
   // Count the keys only \p Other has, grow once, then merge from the
@@ -118,23 +125,9 @@ void CostMap::merge(const CostMap &Other) {
   }
 }
 
-void CostMap::sortAndCoalesce() {
-  auto Less = [](const Entry &A, const Entry &B) { return A.first < B.first; };
-  if (!std::is_sorted(Counts.begin(), Counts.end(), Less))
-    std::sort(Counts.begin(), Counts.end(), Less);
-  size_t Out = 0;
-  for (size_t I = 0; I < Counts.size(); ++I) {
-    if (Out > 0 && Counts[Out - 1].first == Counts[I].first)
-      Counts[Out - 1].second += Counts[I].second;
-    else
-      Counts[Out++] = Counts[I];
-  }
-  Counts.resize(Out);
-}
-
-std::string CostMap::str() const {
+std::string CostSpan::str() const {
   std::string Out;
-  for (const auto &[Key, N] : Counts) {
+  for (const auto &[Key, N] : Entries) {
     if (!Out.empty())
       Out += ", ";
     Out += "cost{";

@@ -13,6 +13,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -61,33 +62,38 @@ struct CostKey {
   }
 };
 
-/// Counts of primitive operations: a vector of (key, count) entries kept
-/// sorted by key, one entry per key. Every invocation record carries
-/// two of these, and the profile back half remaps, sums and scans them
-/// (shard merge, cost combination, grouping, classification, series
-/// extraction), so they are flat: a remap is an in-place rewrite, a sum
-/// of many maps is one sort (sum()), a merge is a linear two-way merge,
-/// and entries() iterates in ascending key order, which keeps reports
-/// deterministic. Hot-path accumulation does
-/// not happen here (a sorted insert per event is too slow); the
-/// profiler counts into unsorted per-activation slots and sorts them
-/// once into a CostMap when the activation finishes.
-class CostMap {
+/// One cost-map entry: a key and its count.
+using CostEntry = std::pair<CostKey, int64_t>;
+
+/// Sorts \p Entries by key and sums the counts of equal keys into the
+/// first of them. Returns how many entries remain at the front.
+size_t sortAndCoalesce(std::span<CostEntry> Entries);
+
+/// Rewrites the input ids of \p Entries (strictly ascending keys)
+/// through \p Canonical (an input-id remap or union-find collapse), then
+/// re-sorts and coalesces them when some id changed. Returns how many
+/// entries remain at the front; the rest are stale.
+template <typename Fn>
+size_t canonicalizeCostInputs(std::span<CostEntry> Entries, Fn Canonical) {
+  bool Changed = false;
+  for (CostEntry &E : Entries) {
+    if (E.first.InputId < 0)
+      continue;
+    int32_t Id = Canonical(E.first.InputId);
+    Changed |= Id != E.first.InputId;
+    E.first.InputId = Id;
+  }
+  return Changed ? sortAndCoalesce(Entries) : Entries.size();
+}
+
+/// A read-only view of cost entries with strictly ascending keys: a
+/// CostMap's, or one invocation record's range of its repetition node's
+/// cost column (core/RepetitionTree.h). Iteration visits (key, count)
+/// entries in ascending key order, which keeps reports deterministic.
+class CostSpan {
 public:
-  using Entry = std::pair<CostKey, int64_t>;
-
-  CostMap() = default;
-  /// Adopts \p Sorted, whose keys must be strictly ascending.
-  explicit CostMap(std::vector<Entry> Sorted);
-
-  /// The map holding \p Entries, given in any order: entries with equal
-  /// keys are summed. One sort builds a sum of many maps, where adding
-  /// or merging them one by one costs a pass over the growing sum each.
-  static CostMap sum(std::vector<Entry> Entries);
-
-  /// Adds \p N to \p Key: a binary search, plus an insert when the key
-  /// is new.
-  void add(CostKey Key, int64_t N = 1);
+  CostSpan() = default;
+  CostSpan(std::span<const CostEntry> Entries) : Entries(Entries) {}
 
   int64_t get(CostKey Key) const;
 
@@ -99,35 +105,68 @@ public:
   /// Algorithmic steps.
   int64_t steps() const { return get({CostKind::Step, -1, -1}); }
 
+  bool empty() const { return Entries.empty(); }
+  size_t size() const { return Entries.size(); }
+  std::span<const CostEntry> entries() const { return Entries; }
+  auto begin() const { return Entries.begin(); }
+  auto end() const { return Entries.end(); }
+
+  std::string str() const;
+
+private:
+  std::span<const CostEntry> Entries;
+};
+
+/// Counts of primitive operations: a vector of (key, count) entries kept
+/// sorted by key, one entry per key. The profile back half builds these
+/// for combined invocations, sums and scans them (cost combination,
+/// classification, series extraction), so they are flat: a sum of many
+/// maps is one sort (sum()), a merge is a linear two-way merge, and a
+/// remap is an in-place rewrite. Invocation records do not own one:
+/// their entries live in their node's cost column and are read through
+/// CostSpan. Hot-path accumulation does not happen here (a sorted insert
+/// per event is too slow); the profiler counts into unsorted
+/// per-activation slots and sorts them once when the activation
+/// finishes.
+class CostMap {
+public:
+  using Entry = CostEntry;
+
+  CostMap() = default;
+
+  /// The map holding \p Entries, given in any order: entries with equal
+  /// keys are summed. One sort builds a sum of many maps, where adding
+  /// or merging them one by one costs a pass over the growing sum each.
+  static CostMap sum(std::vector<Entry> Entries);
+
+  /// Adds \p N to \p Key: a binary search, plus an insert when the key
+  /// is new.
+  void add(CostKey Key, int64_t N = 1);
+
+  int64_t get(CostKey Key) const { return CostSpan(*this).get(Key); }
+  int64_t total(CostKind K, int32_t InputId = -1) const {
+    return CostSpan(*this).total(K, InputId);
+  }
+  int64_t steps() const { return CostSpan(*this).steps(); }
+
   /// Adds every count of \p Other into this map (cost combination,
   /// paper Sec. 2.6).
-  void merge(const CostMap &Other);
+  void merge(CostSpan Other);
 
   /// Rewrites input ids through \p Canonical (union-find collapse after
   /// inputs were merged). Re-sorts only when some id changed.
   template <typename Fn> void canonicalizeInputs(Fn Canonical) {
-    bool Changed = false;
-    for (Entry &E : Counts) {
-      if (E.first.InputId < 0)
-        continue;
-      int32_t Id = Canonical(E.first.InputId);
-      Changed |= Id != E.first.InputId;
-      E.first.InputId = Id;
-    }
-    if (Changed)
-      sortAndCoalesce();
+    Counts.resize(canonicalizeCostInputs(Counts, Canonical));
   }
 
   bool empty() const { return Counts.empty(); }
   /// Every (key, count) entry in ascending key order.
   const std::vector<Entry> &entries() const { return Counts; }
+  operator CostSpan() const { return CostSpan(Counts); }
 
-  std::string str() const;
+  std::string str() const { return CostSpan(*this).str(); }
 
 private:
-  /// Sorts the entries by key and sums those with equal keys.
-  void sortAndCoalesce();
-
   std::vector<Entry> Counts;
 };
 

@@ -37,14 +37,14 @@ std::vector<int32_t> canonicalInputs(const RepetitionNode &N,
                                      const InputTable &T) {
   std::vector<std::pair<int32_t, int64_t>> Accesses; // (input, count)
   std::vector<int32_t> Touched; // One entry per touching invocation.
-  for (const InvocationRecord &R : N.History) {
+  for (const RecordView &R : N.records()) {
     if (!R.Finalized)
       continue;
     for (const auto &[Id, Use] : R.Inputs) {
       (void)Use;
       Touched.push_back(T.canonical(Id));
     }
-    for (const auto &[Key, Count] : R.Costs.entries()) {
+    for (const auto &[Key, Count] : R.Costs) {
       if (Key.InputId < 0 || Key.TypeId >= 0)
         continue;
       if (Key.Kind == CostKind::StructGet ||

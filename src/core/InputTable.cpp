@@ -175,7 +175,8 @@ void InputTable::assign(ObjId Obj, int32_t Input, int32_t ClassId) {
   }
   Owner = Input;
   InputInfo &Info = Inputs[static_cast<size_t>(canonical(Input))];
-  Info.Members.insert(Obj);
+  if (Strategy == EquivalenceStrategy::AllElements)
+    Info.Members.insert(Obj);
   ++Info.RunMemberCount;
   if (ClassId >= 0) {
     ++Info.MemberClassCounts[ClassId];
@@ -657,8 +658,7 @@ void InputTable::onArrayStoreValue(int32_t Input, ObjId Arr, Value V) {
 // Sweep merge
 //===----------------------------------------------------------------------===//
 
-std::vector<int32_t> InputTable::merge(const InputTable &Other,
-                                       int64_t ObjIdOffset) {
+std::vector<int32_t> InputTable::merge(const InputTable &Other) {
   // Decide first: the SomeElements overlap candidates of every shard
   // array, tested against the value sets as they stand before this
   // merge. A serial session identifying Other's arrays would have
@@ -687,11 +687,6 @@ std::vector<int32_t> InputTable::merge(const InputTable &Other,
     }
   }
   CandStart.back() = Cands.size();
-
-  // The shard ran *after* every run already merged here; a serial
-  // session would have reset the run-scoped measurement counters at
-  // that run's start, so the merged table carries the shard's.
-  beginRun();
 
   std::vector<int32_t> Remap(Other.Inputs.size(), -1);
   for (size_t I = 0; I < Other.Inputs.size(); ++I) {
@@ -741,24 +736,15 @@ std::vector<int32_t> InputTable::merge(const InputTable &Other,
         indexValues(Target);
     }
     Target = canonical(Target);
+    // Only what later merges and the back half read moves over (see
+    // the declaration).
     InputInfo &Dst = infoMut(Target);
     Dst.IsStream |= Src.IsStream;
-    for (int64_t Obj : Src.Members)
-      Dst.Members.insert(Obj + ObjIdOffset);
     for (int64_t V : Src.ValueSet)
       insertValue(Target, V);
-    for (int64_t V : Src.SeedValues)
-      Dst.SeedValues.insert(V);
     for (const auto &[ClassId, N] : Src.MemberClassCounts)
       Dst.MemberClassCounts[ClassId] += N;
     Dst.MaxCapacitySeen = std::max(Dst.MaxCapacitySeen, Src.MaxCapacitySeen);
-    Dst.RunMemberCount += Src.RunMemberCount;
-    for (int64_t V : Src.RunValueSet)
-      Dst.RunValueSet.insert(V);
-    for (const auto &[ClassId, N] : Src.RunMemberClassCounts)
-      Dst.RunMemberClassCounts[ClassId] += N;
-    Dst.RunMaxCapacitySeen =
-        std::max(Dst.RunMaxCapacitySeen, Src.RunMaxCapacitySeen);
     Remap[I] = Target;
   }
   Snapshots += Other.Snapshots;

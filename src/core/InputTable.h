@@ -24,7 +24,7 @@
 ///    vector indexed by object id, -1 for unattributed. It costs 4
 ///    bytes per object id up to the highest attributed id. Only tables
 ///    that identify against a live heap fill it; a sweep's merged table
-///    records shard objects in Members alone.
+///    holds no object ids at all.
 ///  - Generation-stamped marks. A traversal marks visited objects in a
 ///    reused vector indexed by id minus the heap's first live id,
 ///    stamping each mark with a per-traversal generation instead of
@@ -125,7 +125,10 @@ struct InputInfo {
   std::string Label;
   bool Alive = true; ///< False once merged into another input.
 
-  /// Object ids attributed to this input (structures and ref arrays).
+  /// AllElements identification only: the object ids attributed to
+  /// this input (structures and ref arrays), which the set-equality
+  /// test compares against. The other strategies identify through the
+  /// owner map and leave it empty, and so does a merged table.
   std::unordered_set<int64_t> Members;
   /// Distinct non-default element values (primitive arrays; identity).
   std::unordered_set<int64_t> ValueSet;
@@ -135,6 +138,8 @@ struct InputInfo {
   /// exactly those comparisons against earlier runs' final value sets,
   /// which is what a serial multi-run session would have compared
   /// against (earlier runs are complete when a later run identifies).
+  /// Read from the shard side of a merge; a merged table does not
+  /// collect them.
   std::unordered_set<int64_t> SeedValues;
   /// Member objects per class id (classification + tracked sizing).
   std::map<int32_t, int64_t> MemberClassCounts;
@@ -147,7 +152,8 @@ struct InputInfo {
   /// not: every run processes its own heap, so tracked sizes read these
   /// run-scoped counters, which InputTable::beginRun resets. Without
   /// the split, an input unified across runs (e.g. under SameType)
-  /// would report earlier runs' sizes for later runs' repetitions.
+  /// would report earlier runs' sizes for later runs' repetitions. A
+  /// merged table never measures, so it leaves them at zero.
   int64_t RunMemberCount = 0;
   std::unordered_set<int64_t> RunValueSet;
   std::map<int32_t, int64_t> RunMemberClassCounts;
@@ -227,14 +233,15 @@ public:
   ///    identification-time values (InputInfo::SeedValues);
   ///  - everything else stays a distinct input, preserving the shard's
   ///    creation order, so input ids match the serial session's.
-  /// \p ObjIdOffset translates the shard's heap ids into this table's id
-  /// space (pass the total object count of all previously merged runs);
-  /// translated ids land in Members only, never in the owner map, which
-  /// nothing reads once a table merges instead of identifying.
-  /// Returns the remap from every \p Other input id (dead ones included)
-  /// to its canonical id in this table. Exactness caveat: AllElements
-  /// cross-run equivalence is not replayed (see docs/parallel_sweeps.md).
-  std::vector<int32_t> merge(const InputTable &Other, int64_t ObjIdOffset);
+  /// Only the state later merges and the profile back half read moves
+  /// over: value sets, member class counts and capacities. A table that
+  /// merges never identifies or measures, so the shard's object ids
+  /// (Members, owner map), SeedValues and run-scoped counters stay
+  /// behind. Returns the remap from every \p Other input id (dead ones
+  /// included) to its canonical id in this table. Exactness caveat:
+  /// AllElements cross-run equivalence is not replayed (see
+  /// docs/parallel_sweeps.md).
+  std::vector<int32_t> merge(const InputTable &Other);
 
   const InputInfo &info(int32_t Id) const {
     return Inputs[static_cast<size_t>(canonical(Id))];

@@ -11,15 +11,17 @@
 using namespace algoprof;
 using namespace algoprof::prof;
 
-const InputUse *InputUses::find(int32_t Id) const {
+const InputUse *UseSpan::find(int32_t Id) const {
   auto It = std::lower_bound(
       Uses.begin(), Uses.end(), Id,
-      [](const Entry &E, int32_t Key) { return E.first < Key; });
+      [](const UseEntry &E, int32_t Key) { return E.first < Key; });
   return It != Uses.end() && It->first == Id ? &It->second : nullptr;
 }
 
-void InputUses::sortAndFold() {
-  auto Less = [](const Entry &A, const Entry &B) { return A.first < B.first; };
+size_t algoprof::prof::sortAndFoldUses(std::span<UseEntry> Uses) {
+  auto Less = [](const UseEntry &A, const UseEntry &B) {
+    return A.first < B.first;
+  };
   if (!std::is_sorted(Uses.begin(), Uses.end(), Less))
     std::stable_sort(Uses.begin(), Uses.end(), Less);
   size_t Out = 0;
@@ -29,7 +31,7 @@ void InputUses::sortAndFold() {
     else
       Uses[Out++] = Uses[I];
   }
-  Uses.resize(Out);
+  return Out;
 }
 
 RepetitionNode *RepetitionNode::findChild(const RepKey &K) {
@@ -43,14 +45,14 @@ int64_t RepetitionNode::totalSteps() const {
   int64_t Sum = 0;
   for (const InvocationRecord &R : History)
     if (R.Finalized)
-      Sum += R.Costs.steps();
+      Sum += costs(R.Costs).steps();
   return Sum;
 }
 
 std::vector<int32_t> RepetitionNode::touchedInputs() const {
   std::set<int32_t> Ids;
   for (const InvocationRecord &R : History)
-    for (const auto &[Id, Use] : R.Inputs)
+    for (const auto &[Id, Use] : uses(R.Inputs))
       Ids.insert(Id);
   return {Ids.begin(), Ids.end()};
 }
@@ -80,6 +82,21 @@ RepetitionNode &RepetitionTree::addChild(RepetitionNode &Parent,
   return *Parent.Children.back();
 }
 
+namespace {
+
+/// Appends \p Src to \p Dst (moving the block when \p Dst is empty) and
+/// leaves \p Src empty.
+template <typename T>
+void appendColumn(std::vector<T> &Dst, std::vector<T> &Src) {
+  if (Dst.empty())
+    Dst.swap(Src);
+  else
+    Dst.insert(Dst.end(), Src.begin(), Src.end());
+  Src.clear();
+}
+
+} // namespace
+
 void RepetitionTree::mergeSubtree(RepetitionNode &Dst, RepetitionNode &Src,
                                   size_t ParentOffset,
                                   const std::vector<int32_t> &Remap) {
@@ -89,23 +106,30 @@ void RepetitionTree::mergeSubtree(RepetitionNode &Dst, RepetitionNode &Src,
     return Remap[static_cast<size_t>(Id)];
   };
   size_t MyOffset = Dst.History.size();
+  auto CostShift = static_cast<uint32_t>(Dst.CostColumn.size());
+  auto UseShift = static_cast<uint32_t>(Dst.UseColumn.size());
   Dst.TotalInvocations += Src.TotalInvocations;
-  for (InvocationRecord &R : Src.History) {
-    R.Costs.canonicalizeInputs(RemapId);
-    R.FoldedCosts.canonicalizeInputs(RemapId);
-    R.Inputs.canonicalize(RemapId);
+  appendColumn(Dst.History, Src.History);
+  appendColumn(Dst.CostColumn, Src.CostColumn);
+  appendColumn(Dst.UseColumn, Src.UseColumn);
+  assert(Dst.CostColumn.size() <= UINT32_MAX &&
+         Dst.UseColumn.size() <= UINT32_MAX && "column past 32-bit ranges");
+  std::span<CostEntry> Costs(Dst.CostColumn);
+  std::span<UseEntry> Uses(Dst.UseColumn);
+  for (size_t I = MyOffset; I < Dst.History.size(); ++I) {
+    InvocationRecord &R = Dst.History[I];
+    for (ColumnRange *C : {&R.Costs, &R.FoldedCosts}) {
+      C->Begin += CostShift;
+      C->Size = static_cast<uint32_t>(canonicalizeCostInputs(
+          Costs.subspan(C->Begin, C->Size), RemapId));
+    }
+    R.Inputs.Begin += UseShift;
+    R.Inputs.Size = static_cast<uint32_t>(
+        canonicalizeUses(Uses.subspan(R.Inputs.Begin, R.Inputs.Size), RemapId));
     R.ParentNode = Dst.Parent;
     if (R.ParentInvocation >= 0)
       R.ParentInvocation += static_cast<int32_t>(ParentOffset);
   }
-  if (Dst.History.empty()) {
-    Dst.History = std::move(Src.History);
-  } else {
-    Dst.History.insert(Dst.History.end(),
-                       std::make_move_iterator(Src.History.begin()),
-                       std::make_move_iterator(Src.History.end()));
-  }
-  Src.History.clear();
   for (const auto &C : Src.Children)
     mergeSubtree(getOrCreateChild(Dst, C->Key, C->Name), *C, MyOffset,
                  Remap);

@@ -14,8 +14,11 @@
 #include "core/CostMap.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <memory>
+#include <ranges>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -85,69 +88,115 @@ struct InputUse {
   }
 };
 
-/// The inputs one invocation touched: (input id, sizes) entries kept
-/// sorted by id, one entry per id. Flat for the same reason as CostMap:
-/// every record carries one, and the back half remaps, folds and scans
-/// them (shard merge, cost combination, series extraction).
-class InputUses {
-public:
-  using Entry = std::pair<int32_t, InputUse>;
+/// One input-use entry: a canonical input id and its sizes.
+using UseEntry = std::pair<int32_t, InputUse>;
 
-  InputUses() = default;
+/// Stable-sorts \p Uses by id and folds equal ids left to right with
+/// InputUse::mergeMax into the first of them. Returns how many entries
+/// remain at the front. Passing uses in ascending order of their former
+/// ids folds exactly like inserting them into a map keyed by the new id.
+size_t sortAndFoldUses(std::span<UseEntry> Uses);
 
-  /// The uses in \p Entries, given in any order. Entries with equal ids
-  /// fold with InputUse::mergeMax in their order in \p Entries, so
-  /// passing them in ascending order of their former ids folds exactly
-  /// like inserting them into a map keyed by the new id.
-  static InputUses fold(std::vector<Entry> Entries) {
-    InputUses U;
-    U.Uses = std::move(Entries);
-    U.sortAndFold();
-    return U;
+/// Rewrites the ids of \p Uses (strictly ascending ids) through \p
+/// Canonical (an input-id remap or union-find collapse); uses that now
+/// share an id fold in ascending order of their old ids. Re-sorts only
+/// when some id changed. Returns how many entries remain at the front.
+template <typename Fn>
+size_t canonicalizeUses(std::span<UseEntry> Uses, Fn Canonical) {
+  bool Changed = false;
+  for (UseEntry &E : Uses) {
+    int32_t Id = Canonical(E.first);
+    Changed |= Id != E.first;
+    E.first = Id;
   }
+  return Changed ? sortAndFoldUses(Uses) : Uses.size();
+}
+
+/// A read-only view of the inputs one invocation touched: (input id,
+/// sizes) entries with strictly ascending ids. Iteration visits them in
+/// id order.
+class UseSpan {
+public:
+  UseSpan() = default;
+  UseSpan(std::span<const UseEntry> Uses) : Uses(Uses) {}
 
   /// The use of input \p Id, or null.
   const InputUse *find(int32_t Id) const;
 
-  /// Rewrites ids through \p Canonical (an input-id remap or union-find
-  /// collapse); uses that now share an id fold in ascending order of
-  /// their old ids. Re-sorts only when some id changed.
-  template <typename Fn> void canonicalize(Fn Canonical) {
-    bool Changed = false;
-    for (Entry &E : Uses) {
-      int32_t Id = Canonical(E.first);
-      Changed |= Id != E.first;
-      E.first = Id;
-    }
-    if (Changed)
-      sortAndFold();
-  }
-
-  /// Iteration visits (id, use) entries in ascending id order.
   bool empty() const { return Uses.empty(); }
   size_t size() const { return Uses.size(); }
-  std::vector<Entry>::const_iterator begin() const { return Uses.begin(); }
-  std::vector<Entry>::const_iterator end() const { return Uses.end(); }
+  auto begin() const { return Uses.begin(); }
+  auto end() const { return Uses.end(); }
 
 private:
-  /// Stable-sorts the entries by id and folds equal ids left to right.
-  void sortAndFold();
+  std::span<const UseEntry> Uses;
+};
 
+/// The inputs of one combined invocation (core/AlgorithmSummary.h),
+/// owned: (input id, sizes) entries kept sorted by id, one per id.
+class InputUses {
+public:
+  using Entry = UseEntry;
+
+  InputUses() = default;
+
+  /// The uses in \p Entries, given in any order; equal ids fold as in
+  /// sortAndFoldUses.
+  static InputUses fold(std::vector<Entry> Entries) {
+    InputUses U;
+    U.Uses = std::move(Entries);
+    U.Uses.resize(sortAndFoldUses(U.Uses));
+    return U;
+  }
+
+  operator UseSpan() const { return UseSpan(Uses); }
+  const InputUse *find(int32_t Id) const { return UseSpan(*this).find(Id); }
+  bool empty() const { return Uses.empty(); }
+  size_t size() const { return Uses.size(); }
+  auto begin() const { return Uses.begin(); }
+  auto end() const { return Uses.end(); }
+
+private:
   std::vector<Entry> Uses;
 };
 
 class RepetitionNode;
 
+/// A range of one of a node's record columns: [Begin, Begin + Size).
+struct ColumnRange {
+  uint32_t Begin = 0;
+  uint32_t Size = 0;
+
+  /// The range [Begin, End) of a column.
+  static ColumnRange between(size_t Begin, size_t End) {
+    assert(Begin <= End && End <= UINT32_MAX && "column past 32-bit ranges");
+    return {static_cast<uint32_t>(Begin), static_cast<uint32_t>(End - Begin)};
+  }
+};
+
 /// The history entry of one finished invocation of a repetition
-/// (paper Sec. 3.3, finalizeRepetition).
+/// (paper Sec. 3.3, finalizeRepetition). Its cost map and input uses
+/// live in its node's columns (RepetitionNode::CostColumn/UseColumn);
+/// the record holds their ranges. Read it through RepetitionNode::
+/// record().
 struct InvocationRecord {
-  CostMap Costs;
+  ColumnRange Costs;       ///< Own costs, in the node's CostColumn.
+  ColumnRange FoldedCosts; ///< See RecordView::FoldedCosts.
+  ColumnRange Inputs;      ///< In the node's UseColumn.
+  RepetitionNode *ParentNode = nullptr;
+  int32_t ParentInvocation = -1;
+  bool Finalized = false;
+};
+
+/// One invocation record with its column ranges resolved.
+struct RecordView {
+  CostSpan Costs;
   /// Costs folded up from *sampled-out* child invocations (paper
   /// Sec. 3.3 sampling): they belong to this invocation's combined cost
   /// but are not this repetition's own operations, so grouping ignores
   /// them while series extraction includes them.
-  CostMap FoldedCosts;
-  InputUses Inputs; ///< Canonical input id -> sizes.
+  CostSpan FoldedCosts;
+  UseSpan Inputs; ///< Canonical input id -> sizes.
   RepetitionNode *ParentNode = nullptr;
   int32_t ParentInvocation = -1;
   bool Finalized = false;
@@ -166,6 +215,17 @@ public:
   /// invocations; TotalInvocations counts them all.
   std::vector<InvocationRecord> History;
 
+  /// The cost entries of every record (own and folded ranges), and the
+  /// input uses of every record. Two flat columns per node instead of
+  /// vectors per record: a finalize appends, a shard merge moves a
+  /// node's columns with one insert each, and teardown frees a few
+  /// blocks per node. No two ranges overlap, and each is sorted with
+  /// unique keys. A range may be followed by stale entries (a gap)
+  /// where a merge's id remap folded entries together; only ranges are
+  /// read.
+  std::vector<CostEntry> CostColumn;
+  std::vector<UseEntry> UseColumn;
+
   /// Total activations of this repetition, recorded or not.
   int64_t TotalInvocations = 0;
 
@@ -174,6 +234,26 @@ public:
     for (const RepetitionNode *N = Parent; N; N = N->Parent)
       ++D;
     return D;
+  }
+
+  /// Record \p I of History, read through the columns.
+  RecordView record(size_t I) const {
+    const InvocationRecord &R = History[I];
+    return {costs(R.Costs), costs(R.FoldedCosts), uses(R.Inputs),
+            R.ParentNode, R.ParentInvocation, R.Finalized};
+  }
+
+  /// Every record as a RecordView, in history order.
+  auto records() const {
+    return std::views::iota(size_t{0}, History.size()) |
+           std::views::transform([this](size_t I) { return record(I); });
+  }
+
+  CostSpan costs(ColumnRange R) const {
+    return std::span<const CostEntry>(CostColumn).subspan(R.Begin, R.Size);
+  }
+  UseSpan uses(ColumnRange R) const {
+    return std::span<const UseEntry>(UseColumn).subspan(R.Begin, R.Size);
   }
 
   RepetitionNode *findChild(const RepKey &K);
@@ -208,15 +288,17 @@ public:
                            std::string Name);
 
   /// Folds the completed shard tree \p Other into this one, consuming
-  /// it. Nodes align by RepKey (static method/loop ids); \p Other's
-  /// invocation records move over and append after this tree's, with
-  /// cost-map and input-use ids rewritten in place through \p
-  /// InputRemap (from InputTable::merge) and ParentInvocation indices
-  /// shifted by the destination parent's pre-merge history length.
+  /// it. Nodes align by RepKey (static method/loop ids); each \p Other
+  /// node's records and columns append after the matching node's, one
+  /// insert per column. The appended records' ranges then shift by the
+  /// destination columns' pre-merge lengths, their cost-map and
+  /// input-use ids are rewritten within each range through \p
+  /// InputRemap (from InputTable::merge), and ParentInvocation indices
+  /// shift by the destination parent's pre-merge history length.
   /// Merging shards in run-index order reproduces a serial accumulating
   /// session's tree exactly, byte for byte, independent of which
   /// threads executed which runs. \p Other is left with its nodes but
-  /// no records.
+  /// no records and no column entries.
   void merge(RepetitionTree &&Other, const std::vector<int32_t> &InputRemap);
 
   /// Pre-order traversal.

@@ -26,7 +26,6 @@ struct SweepEngine::Batch {
   struct Shard {
     std::unique_ptr<AlgoProfiler> Prof; ///< Null when startup was aborted.
     vm::RunResult Result;
-    int64_t NumObjects = 0;
     int Attempts = 1;
   };
 
@@ -47,10 +46,10 @@ struct SweepEngine::Batch {
   size_t DoneRuns = 0;
   std::condition_variable DoneCv;
 
-  /// Serializes the merge itself (the engine's Acc / ObjIdOffset / Out
-  /// writes). Workers try_lock it: whoever wins drains the ready
-  /// prefix; losers just return — their shard will be picked up by the
-  /// winner or by the final blocking drain in finishEnqueued().
+  /// Serializes the merge itself (the engine's Acc / Out writes).
+  /// Workers try_lock it: whoever wins drains the ready prefix; losers
+  /// just return — their shard will be picked up by the winner or by
+  /// the final blocking drain in finishEnqueued().
   std::mutex DrainMu;
 };
 
@@ -179,7 +178,6 @@ void SweepEngine::runOne(Batch &B, size_t I) {
       S.Result.Injected = true;
       S.Result.TrapMessage =
           "injected run-start failure for run " + std::to_string(GlobalRun);
-      S.NumObjects = 0;
     } else {
       vm::RunOptions RO = Opts.Run;
       if (Opts.Faults.fires(resilience::FaultSite::HeapOom, GlobalRun,
@@ -189,7 +187,6 @@ void SweepEngine::runOne(Batch &B, size_t I) {
       S.Prof = std::make_unique<AlgoProfiler>(CP.Prep, Opts.Profile);
       vm::IoChannels Io = B.Inputs[I];
       S.Result = Interp.run(B.Entry, S.Prof.get(), Plan, Io, RO);
-      S.NumObjects = Interp.heap().numObjects();
       // The interpreter (and its heap) dies here; the profiler's
       // id-keyed state stays valid because nothing dereferences
       // heap objects after a run ends.
@@ -214,12 +211,10 @@ void SweepEngine::runOne(Batch &B, size_t I) {
 /// runOne/drainReady.
 ///
 /// Strictly in run-index order: input ids remap through the
-/// serial-replay merge, heap ids shift by the object count of all
-/// previously merged runs — exactly the ids a serial session's shared
-/// heap would have handed out. Quarantine decisions also happen here,
-/// not in workers: a quarantined run is excluded from the merge *and*
-/// from the heap-id offset, so the accumulated profile is exactly what
-/// a serial session over the surviving runs would build. Under the
+/// serial-replay merge. Quarantine decisions also happen here, not in
+/// workers: a quarantined run is excluded from the merge, so the
+/// accumulated profile is exactly what a serial session over the
+/// surviving runs would build. Under the
 /// Fail policy nothing is quarantined (legacy behavior: failed runs'
 /// partial state still merges and the caller decides).
 void SweepEngine::mergeShard(Batch &B, size_t I) {
@@ -243,10 +238,8 @@ void SweepEngine::mergeShard(Batch &B, size_t I) {
   if (Quarantine) {
     obs::addCount(obs::Counter::RunsQuarantined);
   } else if (S.Prof) {
-    std::vector<int32_t> Remap =
-        Acc->inputs().merge(S.Prof->inputs(), ObjIdOffset);
+    std::vector<int32_t> Remap = Acc->inputs().merge(S.Prof->inputs());
     Acc->tree().merge(std::move(S.Prof->tree()), Remap);
-    ObjIdOffset += S.NumObjects;
     ++B.Out->MergedRuns;
     obs::addCount(obs::Counter::ShardsMerged);
   }

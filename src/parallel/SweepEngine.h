@@ -6,17 +6,19 @@
 /// (parallel/JobSystem.h), executing on a worker thread with a private
 /// vm::Interpreter + AlgoProfiler over the shared immutable
 /// CompiledProgram. A streaming reducer folds the per-run shards —
-/// RepetitionTrees, CostMaps, InputTables — strictly in run-index
-/// order, never in completion order: finished shards are marked ready,
-/// and whichever worker finishes a run tries to advance the merge
-/// cursor over the longest prefix of consecutive ready shards. Tree
-/// nodes align by static RepKey (method/loop ids), input ids remap
+/// RepetitionTrees with their record columns, and InputTables —
+/// strictly in run-index order, never in completion order: finished
+/// shards are marked ready, and whichever worker finishes a run tries
+/// to advance the merge cursor over the longest prefix of consecutive
+/// ready shards. Tree
+/// nodes align by static RepKey (method/loop ids), and input ids remap
 /// through InputTable::merge's replay of the serial identification
-/// decisions, and heap-object ids translate by cumulative per-run
-/// object counts. The observable result — buildProfilesFrom output:
-/// labels, classifications, series points, fitted formulas — is
-/// identical to a serial ProfileSession over the same seed order,
-/// regardless of worker count, stealing, or any schedule perturbation.
+/// decisions. No heap-object id crosses a merge: the merged table never
+/// identifies, so it keeps none. The observable result —
+/// buildProfilesFrom output: labels, classifications, series points,
+/// fitted formulas — is identical to a serial ProfileSession over the
+/// same seed order, regardless of worker count, stealing, or any
+/// schedule perturbation.
 /// See docs/parallel_sweeps.md for the determinism argument and the
 /// AllElements/sampling caveats.
 ///
@@ -210,10 +212,6 @@ private:
   /// The merge target. Never attached to an interpreter: its tree and
   /// inputs are populated exclusively by the reducer.
   std::unique_ptr<prof::AlgoProfiler> Acc;
-  /// Heap-id translation base: total objects allocated by all runs
-  /// merged so far (what a serial session's ever-growing heap would
-  /// report as numObjects()).
-  int64_t ObjIdOffset = 0;
   /// Runs enqueued so far; numbers the obs trace track of each shard so
   /// successive sweeps keep extending the same per-shard lanes.
   int64_t TotalRuns = 0;

@@ -59,7 +59,7 @@ algoprof::programs::evaluateTable1Program(const Table1Program &P,
   // designated-node invocation.
   std::set<int64_t> ObservedSizes;
   for (const RepetitionNode *N : Designated)
-    for (const InvocationRecord &Rec : N->History)
+    for (const RecordView &Rec : N->records())
       for (const auto &[Id, Use] : Rec.Inputs) {
         (void)Id;
         ObservedSizes.insert(Use.MaxSize);

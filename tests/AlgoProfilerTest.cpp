@@ -60,7 +60,7 @@ TEST(AlgoProfiler, LoopStepsEqualIterations) {
                                         "Main.main loop#0");
   ASSERT_NE(Loop, nullptr);
   ASSERT_EQ(Loop->History.size(), 1u);
-  EXPECT_EQ(Loop->History[0].Costs.steps(), 9);
+  EXPECT_EQ(Loop->record(0).Costs.steps(), 9);
   EXPECT_TRUE(Loop->History[0].Finalized);
 }
 
@@ -115,7 +115,7 @@ TEST(AlgoProfiler, ChildInvocationsAttributeToParentInvocation) {
                                          "Main.main loop#1");
   ASSERT_NE(Inner, nullptr);
   ASSERT_EQ(Inner->History.size(), 4u);
-  for (const InvocationRecord &R : Inner->History) {
+  for (const RecordView &R : Inner->records()) {
     EXPECT_EQ(R.ParentNode, Outer);
     EXPECT_EQ(R.ParentInvocation, 0); // The single outer invocation.
     EXPECT_EQ(R.Costs.steps(), 2);
@@ -141,8 +141,8 @@ TEST(AlgoProfiler, RecursionFoldsOntoHeader) {
   // One node; two outer invocations; folded steps = calls beyond the
   // first: fact(6) -> 5, fact(4) -> 3.
   EXPECT_EQ(Rec->History.size(), 2u);
-  EXPECT_EQ(Rec->History[0].Costs.steps(), 5);
-  EXPECT_EQ(Rec->History[1].Costs.steps(), 3);
+  EXPECT_EQ(Rec->record(0).Costs.steps(), 5);
+  EXPECT_EQ(Rec->record(1).Costs.steps(), 3);
   // No nested fact node exists anywhere.
   int FactNodes = 0;
   P.Session->tree().forEach([&](const RepetitionNode &N) {
@@ -179,7 +179,7 @@ TEST(AlgoProfiler, MutualRecursionFoldsOntoOneNode) {
   ASSERT_NE(Rec, nullptr);
   ASSERT_EQ(Rec->History.size(), 1u);
   // isEven is entered 5 times (8,6,4,2,0): 4 folded steps.
-  EXPECT_EQ(Rec->History[0].Costs.steps(), 4);
+  EXPECT_EQ(Rec->record(0).Costs.steps(), 4);
 }
 
 TEST(AlgoProfiler, LoopInsideRecursionReentersSameNode) {
@@ -203,7 +203,7 @@ TEST(AlgoProfiler, LoopInsideRecursionReentersSameNode) {
   EXPECT_EQ(Loop->Parent, Rec);
   // The loop ran once per activation: walk(3..0) = 4 invocations.
   EXPECT_EQ(Loop->History.size(), 4u);
-  for (const InvocationRecord &R : Loop->History)
+  for (const RecordView &R : Loop->records())
     EXPECT_EQ(R.Costs.steps(), 2);
 }
 
@@ -226,7 +226,7 @@ TEST(AlgoProfiler, Listing4FirstAccessSeesPartialStructure) {
       P.Session->tree(), "Main.constructListWithLoop loop#0");
   ASSERT_NE(Loop, nullptr);
   ASSERT_EQ(Loop->History.size(), 1u);
-  const InvocationRecord &R = Loop->History[0];
+  RecordView R = Loop->record(0);
   ASSERT_EQ(R.Inputs.size(), 1u);
   const InputUse &Use = R.Inputs.begin()->second;
   EXPECT_EQ(Use.FirstSize, 1);  // One reachable node at first access.
@@ -240,7 +240,7 @@ TEST(AlgoProfiler, Listing4RecursiveConstructionMeasured) {
       P.Session->tree(), "Main.constructListWithRecursion (recursion)");
   ASSERT_NE(Rec, nullptr);
   ASSERT_EQ(Rec->History.size(), 1u);
-  const InvocationRecord &R = Rec->History[0];
+  RecordView R = Rec->record(0);
   ASSERT_EQ(R.Inputs.size(), 1u);
   EXPECT_EQ(R.Inputs.begin()->second.MaxSize, 12);
 }
@@ -251,7 +251,7 @@ TEST(AlgoProfiler, Listing4PartiallyUsedArray) {
   const RepetitionNode *Loop = findNode(
       P.Session->tree(), "Main.constructPartiallyUsedArray loop#0");
   ASSERT_NE(Loop, nullptr);
-  const InvocationRecord &R = Loop->History[0];
+  RecordView R = Loop->record(0);
   ASSERT_EQ(R.Inputs.size(), 1u);
   const InputUse &Use = R.Inputs.begin()->second;
   EXPECT_EQ(Use.MaxSize, 10);        // Unique elements {0,2,...,18}.
@@ -321,7 +321,7 @@ TEST(AlgoProfiler, HeadersOnlyPlanMatchesAllMethodsOnRecursions) {
 /// that input's per-type counts, and that no per-type count lacks its
 /// input-level entry. Returns how many input-level entries had more
 /// than one per-type refinement.
-int expectInputLevelIsSumOfTypes(const CostMap &C) {
+int expectInputLevelIsSumOfTypes(CostSpan C) {
   std::map<CostKey, int64_t> TypeSums;
   std::map<CostKey, int> TypesPerInput;
   for (const auto &[Key, Count] : C.entries()) {
@@ -383,7 +383,7 @@ TEST(AlgoProfiler, InputLevelStructCostsAreSumsOfPerTypeCosts) {
     ASSERT_TRUE(P.Session);
     int Records = 0, MultiType = 0, Folded = 0;
     P.Session->tree().forEach([&](const RepetitionNode &N) {
-      for (const InvocationRecord &R : N.History) {
+      for (const RecordView &R : N.records()) {
         if (!R.Finalized)
           continue;
         ++Records;
@@ -417,7 +417,7 @@ TEST(AlgoProfiler, TrapLeavesConsistentTree) {
   EXPECT_EQ(R.Status, vm::RunStatus::Trapped);
   // The unwinding finalized every record.
   S.tree().forEach([](const RepetitionNode &N) {
-    for (const InvocationRecord &Rec : N.History)
+    for (const RecordView &Rec : N.records())
       EXPECT_TRUE(Rec.Finalized);
   });
 }

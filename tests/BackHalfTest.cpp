@@ -19,6 +19,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "SweepTestUtil.h"
 #include "TestUtil.h"
 #include "fuzz/ProgramGen.h"
 #include "programs/Programs.h"
@@ -59,9 +60,9 @@ std::vector<RefInvocation> refCombine(const Algorithm &A,
     std::vector<RefInvocation> &Rows = Acc[N];
     Rows.resize(N->History.size());
     for (size_t I = 0; I < N->History.size(); ++I) {
-      const InvocationRecord &R = N->History[I];
+      RecordView R = N->record(I);
       Rows[I].Finalized = R.Finalized;
-      Rows[I].Costs = R.Costs;
+      Rows[I].Costs.merge(R.Costs);
       Rows[I].Costs.merge(R.FoldedCosts);
       Rows[I].Costs.canonicalizeInputs(
           [&T](int32_t Id) { return T.canonical(Id); });
@@ -82,7 +83,7 @@ std::vector<RefInvocation> refCombine(const Algorithm &A,
       continue;
     std::vector<RefInvocation> &Rows = Acc[N];
     for (size_t I = 0; I < N->History.size(); ++I) {
-      const InvocationRecord &R = N->History[I];
+      RecordView R = N->record(I);
       if (!R.Finalized || !R.ParentNode || !A.contains(R.ParentNode) ||
           R.ParentInvocation < 0)
         continue;
@@ -145,6 +146,7 @@ std::string seriesStr(const std::vector<SeriesPoint> &S) {
 /// invocations compared.
 size_t checkBackHalf(const RepetitionTree &Tree, const InputTable &T,
                      const CompiledProgram &CP, const std::string &What) {
+  EXPECT_EQ(testutil::recordColumnFaults(Tree), "") << What;
   size_t Compared = 0;
   for (const Algorithm &A :
        groupAlgorithms(Tree, T, CP.Prep, GroupingStrategy::CommonInput)) {
@@ -257,7 +259,7 @@ TEST(BackHalf, CombinationMatchesCopyAndFoldUnderSampling) {
     ProfileDriver D(*CP, SO);
     D.runAll("Main", "main");
     D.tree().forEach([&](const RepetitionNode &N) {
-      for (const InvocationRecord &R : N.History)
+      for (const RecordView &R : N.records())
         AnyFolded |= !R.FoldedCosts.empty();
     });
   }

@@ -109,7 +109,7 @@ TEST(ComplexityZoo, WhileTrueLoopExitsViaReturnAreBalanced) {
       Descent = &N;
   });
   ASSERT_NE(Descent, nullptr);
-  for (const InvocationRecord &R : Descent->History)
+  for (const RecordView &R : Descent->records())
     EXPECT_TRUE(R.Finalized);
   // 63 inserts enter the descent loop (the first insert returns early).
   EXPECT_EQ(Descent->History.size(), 63u);

@@ -196,7 +196,7 @@ TEST(EndToEnd, IoProgramEchoes) {
   // The loop's costs include input reads and output writes.
   bool SawIo = false;
   S.tree().forEach([&](const RepetitionNode &N) {
-    for (const InvocationRecord &R : N.History)
+    for (const RecordView &R : N.records())
       if (R.Costs.total(CostKind::InputRead) == 3 &&
           R.Costs.total(CostKind::OutputWrite) == 3)
         SawIo = true;

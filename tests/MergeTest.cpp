@@ -4,12 +4,14 @@
 /// Property tests for InputTable::merge + RepetitionTree::merge, the
 /// reduction SweepEngine is built on. Shards are produced by running
 /// real profiled executions by hand (tests/SweepTestUtil.h) and merged
-/// in controlled orders:
+/// in controlled orders, and every merge is checked to leave the
+/// record columns well formed and the shard tree empty:
 ///
 ///  - identity: merging into an empty accumulator reproduces the shard;
 ///    merging an empty shard changes nothing;
-///  - associativity: (A + B) + C == A + (B + C), including absolute
-///    member object ids (the heap-id offsets compose);
+///  - associativity: (A + B) + C == A + (B + C), on programs whose
+///    arrays do not overlap across the split (an accumulated table
+///    carries no identification-time values to replay);
 ///  - permutation invariance for value-disjoint runs: when no cross-run
 ///    unification can trigger, any merge order yields the same profiles
 ///    up to series-point order.
@@ -28,6 +30,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <numeric>
 #include <random>
 #include <unordered_set>
@@ -44,19 +47,18 @@ namespace {
 struct Accumulator {
   std::unique_ptr<AlgoProfiler> Acc;
   const CompiledProgram &CP;
-  int64_t ObjIdOffset = 0;
 
   explicit Accumulator(const CompiledProgram &CP, const SessionOptions &SO)
       : Acc(std::make_unique<AlgoProfiler>(CP.Prep, SO.Profile)), CP(CP) {}
 
   /// Merges \p Shard, consuming its tree (its input table stays).
-  void add(AlgoProfiler &Shard, int64_t NumObjects) {
-    std::vector<int32_t> Remap =
-        Acc->inputs().merge(Shard.inputs(), ObjIdOffset);
+  void add(AlgoProfiler &Shard) {
+    std::vector<int32_t> Remap = Acc->inputs().merge(Shard.inputs());
     Acc->tree().merge(std::move(Shard.tree()), Remap);
-    ObjIdOffset += NumObjects;
+    EXPECT_EQ(testutil::recordColumnFaults(Acc->tree()), "");
+    EXPECT_EQ(testutil::heldRecordState(Shard.tree()), 0u);
   }
-  void add(ShardRun &S) { add(*S.Prof, S.NumObjects); }
+  void add(ShardRun &S) { add(*S.Prof); }
 
   std::string profileSig(bool SortPoints = false) const {
     return testutil::profileSignature(
@@ -107,8 +109,7 @@ TEST(MergeTest, MergingOneShardIntoEmptyReproducesIt) {
 
   Accumulator A(*CP, SO);
   A.add(S);
-  // Offset 0 + empty destination: the merged state must equal the
-  // shard's own, member ids included.
+  // An empty destination: the merged state must equal the shard's own.
   EXPECT_EQ(A.treeSig(), Tree);
   EXPECT_EQ(A.inputsSig(), Inputs);
   EXPECT_EQ(A.profileSig(), Profiles);
@@ -124,9 +125,9 @@ TEST(MergeTest, MergingAnEmptyShardIsIdentity) {
   std::string Tree = A.treeSig(), Inputs = A.inputsSig(),
               Profiles = A.profileSig();
 
-  // A never-run profiler: empty tree, empty table, zero objects.
+  // A never-run profiler: empty tree, empty table.
   AlgoProfiler Empty(CP->Prep, SO.Profile);
-  A.add(Empty, 0);
+  A.add(Empty);
   EXPECT_EQ(A.treeSig(), Tree);
   EXPECT_EQ(A.inputsSig(), Inputs);
   EXPECT_EQ(A.profileSig(), Profiles);
@@ -135,7 +136,7 @@ TEST(MergeTest, MergingAnEmptyShardIsIdentity) {
 TEST(MergeTest, MergeIsAssociative) {
   // (A + B) + C vs A + (B + C): the right side first reduces B and C
   // into an intermediate accumulator, then folds that accumulated state
-  // in — offsets compose, so even absolute member ids must agree.
+  // in.
   for (const std::string &Src :
        {seededInsertionSortProgram(InputOrder::Random),
         std::string(DisjointValuesProgram), ioSumProgram()}) {
@@ -160,7 +161,7 @@ TEST(MergeTest, MergeIsAssociative) {
     BC.add(C2);
     Accumulator Right(*CP, SO);
     Right.add(A2);
-    Right.add(*BC.Acc, BC.ObjIdOffset);
+    Right.add(*BC.Acc);
 
     EXPECT_EQ(Left.treeSig(), Right.treeSig());
     EXPECT_EQ(Left.inputsSig(), Right.inputsSig());
@@ -204,52 +205,56 @@ TEST(MergeTest, TreeMergeAlignsByKeyAndOffsetsParents) {
   // Direct unit test of RepetitionTree::merge on hand-built trees:
   // children align by RepKey, source records append after destination
   // records, and ParentInvocation indices shift by the destination
-  // parent's pre-merge history length.
+  // parent's pre-merge history length, and record ranges by the
+  // destination column's pre-merge length.
   RepKey KeyX{RepKind::Loop, 1, 0};
   RepKey KeyY{RepKind::Loop, 1, 1};
-  auto StepRecord = [](RepetitionNode *Parent, int64_t Steps,
-                       int32_t ParentInv) {
+  auto AddStepRecord = [](RepetitionNode &N, RepetitionNode *Parent,
+                          int64_t Steps, int32_t ParentInv) {
     InvocationRecord R;
-    R.Costs.add({CostKind::Step, -1, -1}, Steps);
+    R.Costs = ColumnRange::between(N.CostColumn.size(),
+                                   N.CostColumn.size() + 1);
+    N.CostColumn.push_back({{CostKind::Step, -1, -1}, Steps});
     R.ParentNode = Parent;
     R.ParentInvocation = ParentInv;
     R.Finalized = true;
-    return R;
+    N.History.push_back(R);
   };
 
   RepetitionTree Dst;
-  Dst.root().History.push_back(StepRecord(nullptr, 100, -1));
+  AddStepRecord(Dst.root(), nullptr, 100, -1);
   Dst.root().TotalInvocations = 1;
   RepetitionNode &DstX = Dst.getOrCreateChild(Dst.root(), KeyX, "X");
-  DstX.History.push_back(StepRecord(&Dst.root(), 5, 0));
-  DstX.History.push_back(StepRecord(&Dst.root(), 7, 0));
+  AddStepRecord(DstX, &Dst.root(), 5, 0);
+  AddStepRecord(DstX, &Dst.root(), 7, 0);
   DstX.TotalInvocations = 2;
 
   RepetitionTree Src;
-  Src.root().History.push_back(StepRecord(nullptr, 200, -1));
-  Src.root().History.push_back(StepRecord(nullptr, 300, -1));
+  AddStepRecord(Src.root(), nullptr, 200, -1);
+  AddStepRecord(Src.root(), nullptr, 300, -1);
   Src.root().TotalInvocations = 2;
   RepetitionNode &SrcX = Src.getOrCreateChild(Src.root(), KeyX, "X");
-  SrcX.History.push_back(StepRecord(&Src.root(), 9, 1));
+  AddStepRecord(SrcX, &Src.root(), 9, 1);
   SrcX.TotalInvocations = 1;
   RepetitionNode &SrcY = Src.getOrCreateChild(Src.root(), KeyY, "Y");
-  SrcY.History.push_back(StepRecord(&Src.root(), 11, 0));
+  AddStepRecord(SrcY, &Src.root(), 11, 0);
   SrcY.TotalInvocations = 1;
 
   Dst.merge(std::move(Src), {});
-  // The records moved out of the shard tree.
-  EXPECT_TRUE(Src.root().History.empty());
+  // The records and their columns moved out of the shard tree.
+  EXPECT_EQ(testutil::heldRecordState(Src), 0u);
+  EXPECT_EQ(testutil::recordColumnFaults(Dst), "");
 
   EXPECT_EQ(Dst.numRepetitions(), 2);
   ASSERT_EQ(Dst.root().History.size(), 3u);
   EXPECT_EQ(Dst.root().TotalInvocations, 3);
-  EXPECT_EQ(Dst.root().History[1].Costs.steps(), 200);
+  EXPECT_EQ(Dst.root().record(1).Costs.steps(), 200);
 
   RepetitionNode *X = Dst.root().findChild(KeyX);
   ASSERT_NE(X, nullptr);
   ASSERT_EQ(X->History.size(), 3u);
   EXPECT_EQ(X->TotalInvocations, 3);
-  EXPECT_EQ(X->History[2].Costs.steps(), 9);
+  EXPECT_EQ(X->record(2).Costs.steps(), 9);
   // Src record pointed at src-root invocation 1; dst root had 1 record
   // before the merge, so it now points at dst-root invocation 2.
   EXPECT_EQ(X->History[2].ParentInvocation, 2);
@@ -259,7 +264,7 @@ TEST(MergeTest, TreeMergeAlignsByKeyAndOffsetsParents) {
   RepetitionNode *Y = Dst.root().findChild(KeyY);
   ASSERT_NE(Y, nullptr);
   ASSERT_EQ(Y->History.size(), 1u);
-  EXPECT_EQ(Y->History[0].Costs.steps(), 11);
+  EXPECT_EQ(Y->record(0).Costs.steps(), 11);
   EXPECT_EQ(Y->History[0].ParentInvocation, 1);
   EXPECT_EQ(Y->History[0].ParentNode, &Dst.root());
 }
@@ -323,8 +328,7 @@ TEST(MergeTest, ArrayOverlapsAreDecidedAgainstPreMergeValueSets) {
 
   Accumulator Acc(*CP, SO);
   Acc.add(First);
-  std::vector<int32_t> Remap =
-      Acc.Acc->inputs().merge(ST, Acc.ObjIdOffset);
+  std::vector<int32_t> Remap = Acc.Acc->inputs().merge(ST);
   const InputTable &Merged = Acc.Acc->inputs();
   EXPECT_EQ(Merged.canonical(Remap[static_cast<size_t>(S1)]),
             Merged.canonical(A));
@@ -343,13 +347,12 @@ TEST(MergeTest, ArrayOverlapsAreDecidedAgainstPreMergeValueSets) {
             testutil::inputsSignature(Serial.inputs()));
 }
 
-TEST(MergeTest, InputTableMergeRemapsAndTranslatesMemberIds) {
+TEST(MergeTest, InputTableMergeRemapsAndConservesClassCounts) {
   // Two runs of the binary-search program build value-identical int
   // arrays, so the second shard's array inputs must unify with the
-  // first run's — exactly as a serial session unifies them — with
-  // member object ids translated by the first run's object count.
-  // (Structure inputs, by contrast, never unify cross-run: each run's
-  // objects are distinct, in the sweep just as in a serial session.)
+  // first run's — exactly as a serial session unifies them. (Structure
+  // inputs, by contrast, never unify cross-run: each run's objects are
+  // distinct, in the sweep just as in a serial session.)
   auto CP = testutil::compile(binarySearchProgram(8, 4));
   ASSERT_TRUE(CP);
   SessionOptions SO;
@@ -372,21 +375,38 @@ TEST(MergeTest, InputTableMergeRemapsAndTranslatesMemberIds) {
   EXPECT_EQ(Acc.Acc->inputs().liveInputs().size(),
             Serial.inputs().liveInputs().size());
 
-  // Member ids from shard B appear shifted by A's object count, each in
-  // the Members of exactly one unified input of the same kind.
-  const InputTable &BT = B.Prof->inputs();
-  const InputTable &Merged = Acc.Acc->inputs();
-  for (int32_t Id : BT.liveInputs()) {
-    for (int64_t Obj : BT.info(Id).Members) {
-      int Holders = 0;
-      for (int32_t M : Merged.liveInputs())
-        if (Merged.info(M).Members.count(Obj + A.NumObjects)) {
-          ++Holders;
-          EXPECT_EQ(BT.info(Id).IsArray, Merged.info(M).IsArray);
-        }
-      EXPECT_EQ(1, Holders) << "shard object " << Obj;
-    }
+  // Member class counts are conserved: on linked structures, every
+  // shard's members land in the merged table exactly once per class,
+  // and each merged input counts what the serial session counts.
+  auto ClassTotals = [](const InputTable &T) {
+    std::map<int32_t, int64_t> Totals;
+    for (int32_t Id : T.liveInputs())
+      for (const auto &[ClassId, N] : T.info(Id).MemberClassCounts)
+        Totals[ClassId] += N;
+    return Totals;
+  };
+  auto LCP = testutil::compile(seededInsertionSortProgram(InputOrder::Random));
+  ASSERT_TRUE(LCP);
+  ShardRun L1 = testutil::runShard(*LCP, SO, {6});
+  ShardRun L2 = testutil::runShard(*LCP, SO, {9});
+  ASSERT_TRUE(L1.Result.ok() && L2.Result.ok());
+  std::map<int32_t, int64_t> Want = ClassTotals(L1.Prof->inputs());
+  for (const auto &[ClassId, N] : ClassTotals(L2.Prof->inputs()))
+    Want[ClassId] += N;
+  ASSERT_FALSE(Want.empty());
+  Accumulator LAcc(*LCP, SO);
+  LAcc.add(L1);
+  LAcc.add(L2);
+  EXPECT_EQ(ClassTotals(LAcc.Acc->inputs()), Want);
+
+  ProfileSession LSerial(*LCP, SO);
+  for (int64_t Seed : {6, 9}) {
+    vm::IoChannels Io;
+    Io.Input = {Seed};
+    ASSERT_TRUE(LSerial.run("Main", "main", Io).ok());
   }
+  EXPECT_EQ(ClassTotals(LSerial.inputs()), Want);
+  EXPECT_EQ(LAcc.inputsSig(), testutil::inputsSignature(LSerial.inputs()));
 }
 
 } // namespace

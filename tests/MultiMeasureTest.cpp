@@ -95,7 +95,7 @@ TEST(MultiMeasure, PerTypeAccessCostsRecorded) {
   int32_t EdgeId = CP->Mod->findClassId("Edge");
   bool SawVertexGet = false, SawEdgeGet = false;
   S.tree().forEach([&](const RepetitionNode &N) {
-    for (const InvocationRecord &R : N.History)
+    for (const RecordView &R : N.records())
       for (const auto &[Key, Count] : R.Costs.entries()) {
         (void)Count;
         if (Key.Kind == CostKind::StructGet && Key.TypeId == VertexId)
@@ -169,7 +169,7 @@ TEST(MultiMeasure, CapacityVsUniqueElementMeasures) {
     if (N.Name != "Main.main loop#0")
       return;
     ASSERT_EQ(N.History.size(), 1u);
-    const InvocationRecord &R = N.History[0];
+    RecordView R = N.record(0);
     ASSERT_EQ(R.Inputs.size(), 1u);
     const InputUse &Use = R.Inputs.begin()->second;
     EXPECT_EQ(Use.MaxCapacity, 100);

@@ -47,6 +47,7 @@ Sigs serialSigs(const CompiledProgram &CP, const SessionOptions &SO,
     vm::RunResult R = S.run("Main", "main", Io);
     EXPECT_TRUE(R.ok()) << R.TrapMessage;
   }
+  EXPECT_EQ(testutil::recordColumnFaults(S.tree()), "");
   return {testutil::profileSignature(S.buildProfiles(G), S.inputs()),
           testutil::treeSignature(S.tree()),
           testutil::inputsSignature(S.inputs())};
@@ -64,6 +65,7 @@ Sigs sweepSigs(const CompiledProgram &CP, const SessionOptions &SO,
     Ios[I].Input = Runs[I];
   parallel::SweepResult SR = E.sweepWithInputs("Main", "main", Ios);
   EXPECT_TRUE(SR.allOk());
+  EXPECT_EQ(testutil::recordColumnFaults(E.tree()), "");
   return {testutil::profileSignature(E.buildProfiles(G), E.inputs()),
           testutil::treeSignature(E.tree()),
           testutil::inputsSignature(E.inputs())};
@@ -227,8 +229,8 @@ TEST(ParallelSweepTest, SeedsApiMatchesExplicitChannels) {
 
 TEST(ParallelSweepTest, SuccessiveSweepsAccumulateLikeSerial) {
   // Two sweep() batches on one engine must equal one serial session
-  // over the concatenated runs: the engine's heap-id offset persists
-  // across batches exactly like a serial session's ever-growing heap.
+  // over the concatenated runs: the engine's accumulated tree and
+  // inputs persist across batches exactly like a serial session's.
   auto CP = testutil::compile(seededInsertionSortProgram(InputOrder::Random));
   ASSERT_TRUE(CP);
   SessionOptions SO;

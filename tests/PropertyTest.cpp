@@ -101,7 +101,7 @@ TEST_P(SizeSweep, ConstructionStepsAndSizeExact) {
   ASSERT_NE(Build, nullptr);
   // Two harness points run: size 0 and size N. Find the size-N record.
   int64_t MaxSteps = 0, MaxSize = 0;
-  for (const InvocationRecord &R : Build->History) {
+  for (const RecordView &R : Build->records()) {
     MaxSteps = std::max(MaxSteps, R.Costs.steps());
     for (const auto &[Id, Use] : R.Inputs) {
       (void)Id;
@@ -197,7 +197,7 @@ protected:
 TEST_P(TreeInvariants, AllRecordsFinalizedAndNonNegative) {
   Profiled P = profileProgram(source());
   P.Session->tree().forEach([](const RepetitionNode &N) {
-    for (const InvocationRecord &R : N.History) {
+    for (const RecordView &R : N.records()) {
       EXPECT_TRUE(R.Finalized);
       for (const auto &[Key, Count] : R.Costs.entries()) {
         (void)Key;
@@ -218,7 +218,7 @@ TEST_P(TreeInvariants, ParentLinksAreConsistent) {
   P.Session->tree().forEach([](const RepetitionNode &N) {
     for (const auto &C : N.Children)
       EXPECT_EQ(C->Parent, &N);
-    for (const InvocationRecord &R : N.History) {
+    for (const RecordView &R : N.records()) {
       if (!R.ParentNode)
         continue;
       EXPECT_GE(R.ParentInvocation, 0);
@@ -240,12 +240,12 @@ TEST_P(TreeInvariants, ChildStepsNeverExceedParentIterationBudget) {
         N.Key.Kind != RepKind::Loop)
       return;
     std::map<int32_t, int64_t> PerParent;
-    for (const InvocationRecord &R : N.History)
+    for (const RecordView &R : N.records())
       if (R.ParentNode == N.Parent)
         ++PerParent[R.ParentInvocation];
     for (const auto &[ParentInv, Count] : PerParent) {
-      const InvocationRecord &ParentRec =
-          N.Parent->History[static_cast<size_t>(ParentInv)];
+      RecordView ParentRec =
+          N.Parent->record(static_cast<size_t>(ParentInv));
       EXPECT_LE(Count, ParentRec.Costs.steps() + 1);
     }
   });

@@ -141,7 +141,7 @@ TEST(Robustness, ValidMutantsStillProfile) {
     // Any terminal status is fine; no crashes and a consistent tree.
     (void)R;
     S.tree().forEach([](const RepetitionNode &N) {
-      for (const InvocationRecord &Rec : N.History)
+      for (const RecordView &Rec : N.records())
         EXPECT_TRUE(Rec.Finalized);
     });
   }

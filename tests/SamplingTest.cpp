@@ -104,7 +104,7 @@ TEST(Sampling, ProfilesStayWellFormedAndFitsHold) {
   P.Session->tree().forEach([](const RepetitionNode &N) {
     EXPECT_LE(static_cast<int64_t>(N.History.size()),
               N.TotalInvocations);
-    for (const InvocationRecord &R : N.History) {
+    for (const RecordView &R : N.records()) {
       EXPECT_TRUE(R.Finalized);
       if (R.ParentNode && R.ParentInvocation >= 0)
         EXPECT_LT(static_cast<size_t>(R.ParentInvocation),
@@ -141,7 +141,7 @@ TEST(Sampling, TrapUnwindStillBalanced) {
   vm::RunResult R = S.run("Main", "main");
   EXPECT_EQ(R.Status, vm::RunStatus::Trapped);
   S.tree().forEach([](const RepetitionNode &N) {
-    for (const InvocationRecord &Rec : N.History)
+    for (const RecordView &Rec : N.records())
       EXPECT_TRUE(Rec.Finalized);
   });
 }

@@ -21,7 +21,7 @@ maxSizesByNode(const std::string &Src, SnapshotMode Mode) {
   EXPECT_TRUE(S.run("Main", "main").ok());
   std::map<std::string, int64_t> Sizes;
   S.tree().forEach([&](const RepetitionNode &N) {
-    for (const InvocationRecord &R : N.History)
+    for (const RecordView &R : N.records())
       for (const auto &[Id, Use] : R.Inputs) {
         (void)Id;
         Sizes[N.Name] = std::max(Sizes[N.Name], Use.MaxSize);
@@ -116,8 +116,8 @@ TEST(SnapshotMode, TrackedSizesAreRunScoped) {
     if (N.History.size() != 2)
       return;
     SawLoop = true;
-    const InvocationRecord &R0 = N.History[0];
-    const InvocationRecord &R1 = N.History[1];
+    RecordView R0 = N.record(0);
+    RecordView R1 = N.record(1);
     ASSERT_EQ(R0.Inputs.size(), R1.Inputs.size()) << N.Name;
     auto It0 = R0.Inputs.begin();
     auto It1 = R1.Inputs.begin();
@@ -197,7 +197,7 @@ std::vector<int64_t> invocationSizes(const RepetitionTree &T,
   T.forEach([&](const RepetitionNode &N) {
     if (N.Name != Node)
       return;
-    for (const InvocationRecord &R : N.History) {
+    for (const RecordView &R : N.records()) {
       int64_t Max = 0;
       for (const auto &[Id, Use] : R.Inputs) {
         (void)Id;
@@ -319,7 +319,7 @@ TEST(SnapshotMode, EagerCountsSharedObjectsOnceAndEveryArrayReference) {
   std::vector<InputUse> Uses;
   S.tree().forEach([&](const RepetitionNode &N) {
     if (N.Name == "Main.walk loop#0")
-      for (const InvocationRecord &Rec : N.History)
+      for (const RecordView &Rec : N.records())
         for (const auto &[Id, Use] : Rec.Inputs) {
           (void)Id;
           Uses.push_back(Use);

@@ -71,7 +71,7 @@ TEST(StreamInput, CostsAreKeyedByStream) {
 
   bool SawKeyedRead = false, SawKeyedWrite = false;
   S.tree().forEach([&](const RepetitionNode &N) {
-    for (const InvocationRecord &R : N.History)
+    for (const RecordView &R : N.records())
       for (const auto &[Key, Count] : R.Costs.entries()) {
         (void)Count;
         if (Key.Kind == CostKind::InputRead && Key.InputId >= 0)
@@ -87,8 +87,9 @@ TEST(StreamInput, CostsAreKeyedByStream) {
   S.tree().forEach([&](const RepetitionNode &N) {
     if (N.Key.Kind != RepKind::Root)
       return;
-    for (const InvocationRecord &R : N.History) {
-      CostMap All = R.Costs;
+    for (const RecordView &R : N.records()) {
+      CostMap All;
+      All.merge(R.Costs);
       All.merge(R.FoldedCosts);
       Reads += All.total(CostKind::InputRead);
       Writes += All.total(CostKind::OutputWrite);
@@ -98,7 +99,7 @@ TEST(StreamInput, CostsAreKeyedByStream) {
   // the whole tree.
   Reads = Writes = 0;
   S.tree().forEach([&](const RepetitionNode &N) {
-    for (const InvocationRecord &R : N.History) {
+    for (const RecordView &R : N.records()) {
       Reads += R.Costs.total(CostKind::InputRead);
       Writes += R.Costs.total(CostKind::OutputWrite);
     }
@@ -125,7 +126,7 @@ TEST(StreamInput, OutputStreamSizeIsFinalOutputCount) {
     if (N.Name != "Main.main loop#0")
       return;
     ASSERT_EQ(N.History.size(), 1u);
-    for (const auto &[Id, Use] : N.History[0].Inputs) {
+    for (const auto &[Id, Use] : N.record(0).Inputs) {
       if (!S.inputs().info(Id).IsStream)
         continue;
       EXPECT_EQ(Use.MaxSize, 6); // Six values written.

@@ -27,7 +27,6 @@ namespace testutil {
 struct ShardRun {
   std::unique_ptr<prof::AlgoProfiler> Prof;
   vm::RunResult Result;
-  int64_t NumObjects = 0;
 };
 
 inline ShardRun runShard(const prof::CompiledProgram &CP,
@@ -42,7 +41,6 @@ inline ShardRun runShard(const prof::CompiledProgram &CP,
   Io.Input = std::move(Input);
   S.Result = Interp.run(CP.entryMethod("Main", "main"), S.Prof.get(),
                         Plan, Io, Opts.Run);
-  S.NumObjects = Interp.heap().numObjects();
   return S;
 }
 
@@ -102,7 +100,7 @@ inline std::string treeSignature(const prof::RepetitionTree &T) {
     Sig += N.Name + " depth=" + std::to_string(N.depth()) +
            " total=" + std::to_string(N.TotalInvocations) +
            " records=" + std::to_string(N.History.size()) + "\n";
-    for (const prof::InvocationRecord &R : N.History)
+    for (const prof::RecordView &R : N.records())
       Sig += "  steps=" + std::to_string(R.Costs.steps()) +
              " folded=" + std::to_string(R.FoldedCosts.steps()) +
              " inputs=" + std::to_string(R.Inputs.size()) +
@@ -112,20 +110,16 @@ inline std::string treeSignature(const prof::RepetitionTree &T) {
   return Sig;
 }
 
-/// Live-input signature: label, member object ids, value sets, class
-/// counts. Member ids are absolute (serial heap numbering), so this also
-/// checks the sweep's ObjIdOffset translation.
+/// Live-input signature: label, value sets, class counts, capacity:
+/// everything later merges and the profile back half read. (Member
+/// object ids are AllElements identification state; a merged table
+/// keeps none.)
 inline std::string inputsSignature(const prof::InputTable &T) {
   std::string Sig;
   for (int32_t Id : T.liveInputs()) {
     const prof::InputInfo &Info = T.info(Id);
     Sig += Info.Label + (Info.IsArray ? " array" : "") +
            (Info.IsStream ? " stream" : "") + ":";
-    std::vector<int64_t> Members(Info.Members.begin(),
-                                 Info.Members.end());
-    std::sort(Members.begin(), Members.end());
-    for (int64_t M : Members)
-      Sig += " m" + std::to_string(M);
     std::vector<int64_t> Values(Info.ValueSet.begin(),
                                 Info.ValueSet.end());
     std::sort(Values.begin(), Values.end());
@@ -136,6 +130,68 @@ inline std::string inputsSignature(const prof::InputTable &T) {
     Sig += " cap" + std::to_string(Info.MaxCapacitySeen) + "\n";
   }
   return Sig;
+}
+
+/// Faults in \p T's record columns, one line each; empty when, in every
+/// node, each record range lies inside its column, no two ranges of a
+/// column overlap, and each range is sorted with unique keys.
+inline std::string recordColumnFaults(const prof::RepetitionTree &T) {
+  std::string Faults;
+  T.forEach([&Faults](const prof::RepetitionNode &N) {
+    using Span = std::pair<size_t, size_t>; // [begin, end)
+    std::vector<Span> CostRanges, UseRanges;
+    for (size_t I = 0; I < N.History.size(); ++I) {
+      const prof::InvocationRecord &R = N.History[I];
+      std::string Where = N.Name + " record " + std::to_string(I) + ": ";
+      for (prof::ColumnRange C : {R.Costs, R.FoldedCosts}) {
+        if (size_t{C.Begin} + C.Size > N.CostColumn.size()) {
+          Faults += Where + "cost range past the column\n";
+          continue;
+        }
+        CostRanges.push_back({C.Begin, size_t{C.Begin} + C.Size});
+        prof::CostSpan Costs = N.costs(C);
+        if (std::adjacent_find(Costs.begin(), Costs.end(),
+                               [](const auto &A, const auto &B) {
+                                 return !(A.first < B.first);
+                               }) != Costs.end())
+          Faults += Where + "cost range not strictly ascending\n";
+      }
+      if (size_t{R.Inputs.Begin} + R.Inputs.Size > N.UseColumn.size()) {
+        Faults += Where + "use range past the column\n";
+        continue;
+      }
+      UseRanges.push_back(
+          {R.Inputs.Begin, size_t{R.Inputs.Begin} + R.Inputs.Size});
+      prof::UseSpan Uses = N.uses(R.Inputs);
+      if (std::adjacent_find(Uses.begin(), Uses.end(),
+                             [](const auto &A, const auto &B) {
+                               return A.first >= B.first;
+                             }) != Uses.end())
+        Faults += Where + "use range not strictly ascending\n";
+    }
+    for (std::vector<Span> *Ranges : {&CostRanges, &UseRanges}) {
+      std::sort(Ranges->begin(), Ranges->end());
+      size_t End = 0;
+      for (const auto &[B, E] : *Ranges) {
+        if (B == E)
+          continue;
+        if (B < End)
+          Faults += N.Name + ": overlapping record ranges\n";
+        End = std::max(End, E);
+      }
+    }
+  });
+  return Faults;
+}
+
+/// Records and column entries left anywhere in \p T: zero once a merge
+/// consumed it.
+inline size_t heldRecordState(const prof::RepetitionTree &T) {
+  size_t Held = 0;
+  T.forEach([&Held](const prof::RepetitionNode &N) {
+    Held += N.History.size() + N.CostColumn.size() + N.UseColumn.size();
+  });
+  return Held;
 }
 
 } // namespace testutil

@@ -472,7 +472,13 @@ int runCorpus(CliOptions &Opts) {
                    FI.Quarantined ? "quarantined" : "failed", FI.Attempts,
                    Budget.c_str(), FI.Message.c_str());
     }
-    size_t NumAlgos = R.Engine->buildProfiles(Opts.Grouping).size();
+    // buildProfilesFrom makes one profile per grouped algorithm; the
+    // count needs only the grouping.
+    size_t NumAlgos =
+        prof::groupAlgorithms(R.Engine->tree(), R.Engine->inputs(),
+                              R.Program->Prep, Opts.Grouping,
+                              &R.Program->Dataflow)
+            .size();
     const char *Status = "ok";
     if (!R.Sweep.usable()) {
       Status = "failed";

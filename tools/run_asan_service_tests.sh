@@ -27,10 +27,16 @@
 # in one contiguous value stack addressed by raw pointer arithmetic, and
 # indexes per-pc loop-event slots, so a wrong frame base, operand-stack
 # bound or slot index shows up there. So does the BackHalf suite: the
-# shard merge moves invocation records out of the shard tree and remaps
-# their ids in place, and cost combination buckets records into root
-# rows by computed offsets, so a use of a moved-from record or a slip
-# in the bucket offsets reads freed or foreign memory. `^InputTable\.`
+# shard merge appends each shard node's record columns to the matching
+# node, shifts the records' ranges and remaps ids within each range in
+# place, and cost combination buckets records into root rows by
+# computed offsets, so a range shifted by the wrong length or a slip in
+# the bucket offsets reads past a column or into a foreign range. The
+# AlgoProfiler and Sampling suites run for the same reason on the write
+# side: finalize appends each record's cost, folded-cost and input-use
+# ranges to its node's columns and shrinks them in place, and sampled-out
+# children fold their costs into a parent's folded range, so a wrong
+# range begin or size writes or reads outside the column. `^InputTable\.`
 # also selects the snapshot-reuse oracles (`InputTable.SnapshotReuse*`,
 # `InputTable.InteriorNodeOfSinglyLinkedListIsNotReused`): a reused
 # Eager snapshot reads the marks at `id - base` for the base of an
@@ -65,6 +71,6 @@ cmake --build "$ASAN_DIR" \
       --target algoprof_service_tests algoprof_tests \
       algoprof_parallel_tests algoprofd algoprof_client -j "$JOBS"
 cd "$ASAN_DIR"
-ctest -R '^(SnapshotMode|InputTable|MultiMeasure|MergeTest|CostMap|BackHalf)\.|^(Vm|BytecodeLevel|LoopEvents|LoopEventMap)\.|/(AllElements|Eager)Golden\.|/RecordPathGolden' \
+ctest -R '^(SnapshotMode|InputTable|MultiMeasure|MergeTest|CostMap|BackHalf|AlgoProfiler|Sampling)\.|^(Vm|BytecodeLevel|LoopEvents|LoopEventMap)\.|/(AllElements|Eager)Golden\.|/RecordPathGolden' \
       --no-tests=error --output-on-failure -j "$JOBS"
 exec ctest -L service --output-on-failure -j "$JOBS"
