@@ -8,8 +8,8 @@
 ///       ExpectedSize formula over the sweep),
 ///   G — did the program's designated loop nest/recursion group into one
 ///       algorithm ('x') or not ('-').
-/// Shared by the Table 1 unit tests, the bench_table1_structures binary,
-/// and the grouping-ablation bench.
+/// Shared by the Table 1 unit tests and the Table 1 and Ablation B rows
+/// of the experiment table (bench/Experiments.cpp).
 ///
 //===----------------------------------------------------------------------===//
 
