@@ -214,11 +214,11 @@ Client Client::tcp(std::string Host, uint16_t Port, std::string AuthToken) {
   return C;
 }
 
-Session Client::submit(const JobSpec &Spec) const {
+Session Client::submit(const JobRequest &Spec) const {
   return submitTimed(Spec, 0);
 }
 
-Session Client::submitTimed(const JobSpec &Spec, uint64_t TimeoutMs) const {
+Session Client::submitTimed(const JobRequest &Spec, uint64_t TimeoutMs) const {
   Session S;
   std::string Err;
   S.Fd = Tcp ? connectTcp(PathOrHost, Port, Err)
@@ -234,7 +234,7 @@ Session Client::submitTimed(const JobSpec &Spec, uint64_t TimeoutMs) const {
     ::setsockopt(S.Fd, SOL_SOCKET, SO_RCVTIMEO, &Tv, sizeof(Tv));
     ::setsockopt(S.Fd, SOL_SOCKET, SO_SNDTIMEO, &Tv, sizeof(Tv));
   }
-  JobSpec Job = Spec;
+  JobRequest Job = Spec;
   if (Tcp && Job.Auth.empty())
     Job.Auth = Token;
   // A failed send keeps the socket: a daemon that rejects at accept
@@ -249,7 +249,7 @@ Session Client::submitTimed(const JobSpec &Spec, uint64_t TimeoutMs) const {
 }
 
 TypedResult
-Client::run(const JobSpec &Spec, const RetryPolicy &Policy,
+Client::run(const JobRequest &Spec, const RetryPolicy &Policy,
             std::function<void(const RunDeltaMsg &)> OnDelta) const {
   std::mt19937_64 Jitter(Policy.JitterSeed);
   auto Sleep = [&](uint64_t Ms) {
@@ -270,7 +270,7 @@ Client::run(const JobSpec &Spec, const RetryPolicy &Policy,
   std::vector<RunDeltaMsg> All;
 
   for (unsigned Attempt = 0;; ++Attempt) {
-    JobSpec Job = Spec;
+    JobRequest Job = Spec;
     if (Sid != 0) {
       Job.Resume = Sid;
       Job.FromDelta = Cursor;

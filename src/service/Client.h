@@ -6,7 +6,7 @@
 /// token — and submit() opens one session per job:
 ///
 ///   Client C = Client::unixSocket("/run/algoprofd.sock");
-///   JobSpec Job;
+///   JobRequest Job;
 ///   Job.Corpus = "seeded_insertion_sort_random";
 ///   Job.Seeds = {4, 8, 12};
 ///   Session S = C.submit(Job);
@@ -50,9 +50,6 @@
 
 namespace algoprof {
 namespace service {
-
-/// What to profile and how; the typed client's job description.
-using JobSpec = JobRequest;
 
 /// Why a session produced no profile. Exactly one of the two flavors:
 /// a daemon rejection carries the wire errc::* code, a transport
@@ -142,13 +139,13 @@ public:
   static Client unixSocket(std::string Path);
 
   /// TCP with the daemon's shared auth token. The token is attached to
-  /// every submitted job (JobSpec::Auth overrides when set).
+  /// every submitted job (JobRequest::Auth overrides when set).
   static Client tcp(std::string Host, uint16_t Port,
                     std::string AuthToken = std::string());
 
   /// Sends one Job frame and returns the session to consume its reply
   /// stream. Never throws: connect failures surface from wait().
-  Session submit(const JobSpec &Spec) const;
+  Session submit(const JobRequest &Spec) const;
 
   /// Runs \p Spec to completion under \p Policy, retrying transport
   /// faults with backoff and resuming the accepted session at the
@@ -156,7 +153,7 @@ public:
   /// fires once per delta across all attempts. The returned Deltas
   /// vector is the merged, duplicate-free stream; TransportRetries
   /// counts the reconnects it took.
-  TypedResult run(const JobSpec &Spec, const RetryPolicy &Policy,
+  TypedResult run(const JobRequest &Spec, const RetryPolicy &Policy,
                   std::function<void(const RunDeltaMsg &)> OnDelta =
                       std::function<void(const RunDeltaMsg &)>()) const;
 
@@ -165,7 +162,7 @@ private:
 
   /// submit() with a per-operation socket deadline applied right after
   /// connect (0 = none), so the Job send itself is covered too.
-  Session submitTimed(const JobSpec &Spec, uint64_t TimeoutMs) const;
+  Session submitTimed(const JobRequest &Spec, uint64_t TimeoutMs) const;
 
   bool Tcp = false;
   std::string PathOrHost;

@@ -592,20 +592,17 @@ std::string Daemon::applyQuotas(JobRequest &R) const {
 }
 
 std::shared_ptr<const prof::CompiledProgram>
-Daemon::admit(JobRequest &R, resilience::FaultPlan &Faults,
-              const char *&Code, std::string &Msg) {
-  Code = errc::BadRequest;
-  std::string Err;
-  if (!resilience::FaultPlan::parse(R.InjectSpec, Faults, Err)) {
-    Msg = "invalid inject spec: " + Err;
-    return nullptr;
-  }
+Daemon::admit(JobRequest &R, prof::SessionOptions &SO, const char *&Code,
+              std::string &Msg) {
   // The budget machinery as admission control.
   Msg = applyQuotas(R);
   if (!Msg.empty()) {
     Code = errc::QuotaExceeded;
     return nullptr;
   }
+  Code = errc::BadRequest;
+  if (!R.applyTo(SO, Msg))
+    return nullptr;
   const std::string *Source = &R.Source;
   if (!R.Corpus.empty()) {
     const programs::CorpusProgram *P = findCorpusProgram(R.Corpus);
@@ -685,10 +682,10 @@ void Daemon::handleSession(Session &S) {
     }
 
     // --- Quotas, then the shared content-keyed compile -------------
-    resilience::FaultPlan Faults;
+    prof::SessionOptions SO;
     const char *Code = nullptr;
     std::shared_ptr<const prof::CompiledProgram> CP =
-        admit(R, Faults, Code, Err);
+        admit(R, SO, Code, Err);
     if (!CP)
       return reject(Fd, Code, Err);
 
@@ -716,7 +713,7 @@ void Daemon::handleSession(Session &S) {
     // journaled, its results are retained for a later resume.
     Buf.send(FrameType::Accepted, encodeAccepted(A));
 
-    runCompiled(*CP, R, Faults, Id, &Buf);
+    runCompiled(*CP, R, SO, Id, &Buf);
     foldSendStats(Buf);
     return true;
   }();
@@ -731,20 +728,10 @@ void Daemon::handleSession(Session &S) {
 
 void Daemon::runCompiled(const prof::CompiledProgram &CP,
                          const JobRequest &R,
-                         const resilience::FaultPlan &Faults, uint64_t Id,
+                         const prof::SessionOptions &SO, uint64_t Id,
                          SendBuffer *Buf) {
-  prof::SessionOptions SO;
-  SO.Seeds = R.Seeds;
-  SO.Runs = R.Runs;
-  SO.Input = R.Input;
-  SO.Policy = R.Policy;
-  SO.MaxAttempts = R.MaxAttempts;
-  SO.Faults = Faults;
-  SO.Run.MaxHeapBytes = R.MaxHeapBytes;
-  SO.Run.RunDeadlineMs = R.RunDeadlineMs;
-
   const std::vector<vm::IoChannels> RunInputs =
-      prof::runInputs(R.Seeds, R.Runs, R.Input);
+      prof::runInputs(SO.Seeds, SO.Runs, SO.Input);
   const uint64_t NumRuns = RunInputs.size();
 
   const bool Retain = Wal.isOpen();
@@ -886,13 +873,13 @@ void Daemon::replayJob(Session &S) {
     std::string Err;
     if (!parseJobRequest(S.ReplayPayload, R, Err) || R.Resume != 0)
       return Fail(errc::BadRequest, "unreplayable journal record: " + Err);
-    resilience::FaultPlan Faults;
+    prof::SessionOptions SO;
     const char *Code = nullptr;
     std::shared_ptr<const prof::CompiledProgram> CP =
-        admit(R, Faults, Code, Err);
+        admit(R, SO, Code, Err);
     if (!CP)
       return Fail(Code, Err);
-    runCompiled(*CP, R, Faults, S.ReplayId, nullptr);
+    runCompiled(*CP, R, SO, S.ReplayId, nullptr);
   }();
 
   obs::flushThisThread();

@@ -257,11 +257,12 @@ private:
   void metricsLoop();
   void handleSession(Session &S);
   void replayJob(Session &S);
-  /// The shared execution path for live and replayed jobs: runs \p R
-  /// against \p CP on the shared pool, streaming through \p Buf (null
-  /// for replay) and retaining results under \p Id when journaling.
+  /// The shared execution path for live and replayed jobs: runs \p R's
+  /// entry point against \p CP under \p SO on the shared pool,
+  /// streaming through \p Buf (null for replay) and retaining results
+  /// under \p Id when journaling.
   void runCompiled(const prof::CompiledProgram &CP, const JobRequest &R,
-                   const resilience::FaultPlan &Faults, uint64_t Id,
+                   const prof::SessionOptions &SO, uint64_t Id,
                    SendBuffer *Buf);
   /// The end of every stream, live or resumed: the Profile frame, the
   /// completion stats, then the Done frame.
@@ -286,12 +287,13 @@ private:
                     std::string DonePayload);
   /// Compacts the journal when forced or past the size threshold.
   void maybeCompact(bool Force);
-  /// Admission shared by live and replayed jobs: the fault plan, the
-  /// quotas (applied to \p R in place), the corpus lookup, the shared
-  /// compile and the entry point. On rejection returns null with an
-  /// errc::* code in \p Code and the reason in \p Msg.
+  /// Admission shared by live and replayed jobs: the quotas (applied to
+  /// \p R in place), the session options \p SO the job runs under, the
+  /// corpus lookup, the shared compile and the entry point. On
+  /// rejection returns null with an errc::* code in \p Code and the
+  /// reason in \p Msg.
   std::shared_ptr<const prof::CompiledProgram>
-  admit(JobRequest &R, resilience::FaultPlan &Faults, const char *&Code,
+  admit(JobRequest &R, prof::SessionOptions &SO, const char *&Code,
         std::string &Msg);
   /// Applies quotas to \p R in place (clamping unlimited requests).
   /// Returns a non-empty rejection message when a cap is exceeded.

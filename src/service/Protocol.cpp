@@ -4,10 +4,6 @@
 
 #include "service/Io.h"
 
-#include <cerrno>
-#include <cstdlib>
-#include <cstring>
-
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -61,55 +57,6 @@ void appendLine(std::string &S, const char *Key, const std::string &V) {
 
 void appendLine(std::string &S, const char *Key, uint64_t V) {
   appendLine(S, Key, std::to_string(V));
-}
-
-std::string joinInts(const std::vector<int64_t> &V) {
-  std::string S;
-  for (int64_t X : V) {
-    if (!S.empty())
-      S += ',';
-    S += std::to_string(X);
-  }
-  return S;
-}
-
-bool parseI64(const std::string &S, int64_t &Out) {
-  if (S.empty())
-    return false;
-  errno = 0;
-  char *End = nullptr;
-  long long V = std::strtoll(S.c_str(), &End, 10);
-  if (End == S.c_str() || *End != '\0' || errno == ERANGE)
-    return false;
-  Out = V;
-  return true;
-}
-
-bool parseU64(const std::string &S, uint64_t &Out) {
-  int64_t V;
-  if (!parseI64(S, V) || V < 0)
-    return false;
-  Out = static_cast<uint64_t>(V);
-  return true;
-}
-
-bool parseIntList(const std::string &S, std::vector<int64_t> &Out) {
-  Out.clear();
-  if (S.empty())
-    return true;
-  size_t Pos = 0;
-  for (;;) {
-    size_t Comma = S.find(',', Pos);
-    std::string Item = S.substr(
-        Pos, Comma == std::string::npos ? std::string::npos : Comma - Pos);
-    int64_t V;
-    if (!parseI64(Item, V))
-      return false;
-    Out.push_back(V);
-    if (Comma == std::string::npos)
-      return true;
-    Pos = Comma + 1;
-  }
 }
 
 /// Splits \p Payload into key=value lines up to (exclusive) \p End.
@@ -199,26 +146,7 @@ std::string service::encodeJobRequest(const JobRequest &R) {
     appendLine(S, "from-delta", R.FromDelta);
   if (!R.Corpus.empty())
     appendLine(S, "corpus", R.Corpus);
-  if (R.EntryClass != "Main")
-    appendLine(S, "entry-class", R.EntryClass);
-  if (R.EntryMethod != "main")
-    appendLine(S, "entry-method", R.EntryMethod);
-  if (!R.Seeds.empty())
-    appendLine(S, "seeds", joinInts(R.Seeds));
-  if (R.Runs != 1)
-    appendLine(S, "runs", std::to_string(R.Runs));
-  if (!R.Input.empty())
-    appendLine(S, "input", joinInts(R.Input));
-  if (R.Policy != resilience::FailurePolicy::Fail)
-    appendLine(S, "policy", resilience::failurePolicyName(R.Policy));
-  if (R.MaxAttempts != 3)
-    appendLine(S, "retries", std::to_string(R.MaxAttempts - 1));
-  if (R.MaxHeapBytes != 0)
-    appendLine(S, "max-heap-bytes", R.MaxHeapBytes);
-  if (R.RunDeadlineMs != 0)
-    appendLine(S, "deadline-ms", R.RunDeadlineMs);
-  if (!R.InjectSpec.empty())
-    appendLine(S, "inject", R.InjectSpec);
+  prof::encodeJobOptions(R, S);
   if (!R.Source.empty()) {
     // The source trailer must come last: its byte count is declared on
     // the line, and the raw bytes follow unescaped.
@@ -263,65 +191,23 @@ bool service::parseJobRequest(const std::string &Payload, JobRequest &Out,
     if (Key == "auth") {
       Out.Auth = Val;
     } else if (Key == "resume") {
-      if (!parseU64(Val, Out.Resume) || Out.Resume == 0) {
+      if (!prof::parseInteger(Val, Out.Resume) || Out.Resume == 0) {
         Err = "invalid resume session id '" + Val + "'";
         return false;
       }
     } else if (Key == "from-delta") {
-      if (!parseU64(Val, Out.FromDelta)) {
+      if (!prof::parseInteger(Val, Out.FromDelta)) {
         Err = "invalid from-delta cursor '" + Val + "'";
         return false;
       }
     } else if (Key == "corpus") {
       Out.Corpus = Val;
-    } else if (Key == "entry-class") {
-      Out.EntryClass = Val;
-    } else if (Key == "entry-method") {
-      Out.EntryMethod = Val;
-    } else if (Key == "seeds") {
-      if (!parseIntList(Val, Out.Seeds)) {
-        Err = "invalid seeds '" + Val + "'";
+    } else if (const prof::JobKey *K = prof::findJobWireKey(Key)) {
+      if (!prof::parseJobValue(*K, K->Wire, Val.c_str(), Out, Err))
         return false;
-      }
-    } else if (Key == "runs") {
-      int64_t V;
-      if (!parseI64(Val, V) || V < 1) {
-        Err = "invalid runs '" + Val + "'";
-        return false;
-      }
-      Out.Runs = static_cast<int>(V);
-    } else if (Key == "input") {
-      if (!parseIntList(Val, Out.Input)) {
-        Err = "invalid input '" + Val + "'";
-        return false;
-      }
-    } else if (Key == "policy") {
-      if (!resilience::parseFailurePolicy(Val, Out.Policy)) {
-        Err = "invalid policy '" + Val + "'";
-        return false;
-      }
-    } else if (Key == "retries") {
-      int64_t V;
-      if (!parseI64(Val, V) || V < 0) {
-        Err = "invalid retries '" + Val + "'";
-        return false;
-      }
-      Out.MaxAttempts = static_cast<int>(V) + 1;
-    } else if (Key == "max-heap-bytes") {
-      if (!parseU64(Val, Out.MaxHeapBytes)) {
-        Err = "invalid max-heap-bytes '" + Val + "'";
-        return false;
-      }
-    } else if (Key == "deadline-ms") {
-      if (!parseU64(Val, Out.RunDeadlineMs)) {
-        Err = "invalid deadline-ms '" + Val + "'";
-        return false;
-      }
-    } else if (Key == "inject") {
-      Out.InjectSpec = Val;
     } else if (Key == "source") {
       uint64_t N;
-      if (!parseU64(Val, N)) {
+      if (!prof::parseInteger(Val, N)) {
         Err = "invalid source byte count '" + Val + "'";
         return false;
       }
@@ -375,15 +261,15 @@ bool service::parseAccepted(const std::string &Payload, AcceptedMsg &Out) {
     return false;
   for (const auto &P : KV) {
     if (P.first == "session") {
-      if (!parseU64(P.second, Out.Session))
+      if (!prof::parseInteger(P.second, Out.Session))
         return false;
     } else if (P.first == "runs") {
-      if (!parseU64(P.second, Out.Runs))
+      if (!prof::parseInteger(P.second, Out.Runs))
         return false;
     } else if (P.first == "resumed") {
       Out.Resumed = P.second == "1";
     } else if (P.first == "resumed-from") {
-      if (!parseU64(P.second, Out.ResumedFrom))
+      if (!prof::parseInteger(P.second, Out.ResumedFrom))
         return false;
     }
   }
@@ -414,34 +300,32 @@ bool service::parseRunDelta(const std::string &Payload, RunDeltaMsg &Out) {
   if (!splitLines(Payload, 0, Payload.size(), KV))
     return false;
   for (const auto &P : KV) {
-    int64_t V;
     if (P.first == "run") {
-      if (!parseI64(P.second, Out.Run))
+      if (!prof::parseInteger(P.second, Out.Run))
         return false;
     } else if (P.first == "index") {
-      if (!parseU64(P.second, Out.Index))
+      if (!prof::parseInteger(P.second, Out.Index))
         return false;
     } else if (P.first == "total") {
-      if (!parseU64(P.second, Out.Total))
+      if (!prof::parseInteger(P.second, Out.Total))
         return false;
     } else if (P.first == "status") {
       Out.Status = P.second;
     } else if (P.first == "budget") {
       Out.Budget = P.second;
     } else if (P.first == "attempts") {
-      if (!parseI64(P.second, V))
+      if (!prof::parseInteger(P.second, Out.Attempts))
         return false;
-      Out.Attempts = static_cast<int>(V);
     } else if (P.first == "quarantined") {
       Out.Quarantined = P.second == "1";
     } else if (P.first == "merged-runs") {
-      if (!parseI64(P.second, Out.MergedRuns))
+      if (!prof::parseInteger(P.second, Out.MergedRuns))
         return false;
     } else if (P.first == "tree-repetitions") {
-      if (!parseI64(P.second, Out.TreeRepetitions))
+      if (!prof::parseInteger(P.second, Out.TreeRepetitions))
         return false;
     } else if (P.first == "new-repetitions") {
-      if (!parseI64(P.second, Out.NewRepetitions))
+      if (!prof::parseInteger(P.second, Out.NewRepetitions))
         return false;
     } else if (P.first == "fit") {
       size_t Tab = P.second.find('\t');
@@ -471,13 +355,13 @@ bool service::parseDone(const std::string &Payload, DoneMsg &Out) {
     return false;
   for (const auto &P : KV) {
     if (P.first == "runs") {
-      if (!parseU64(P.second, Out.Runs))
+      if (!prof::parseInteger(P.second, Out.Runs))
         return false;
     } else if (P.first == "merged-runs") {
-      if (!parseU64(P.second, Out.MergedRuns))
+      if (!prof::parseInteger(P.second, Out.MergedRuns))
         return false;
     } else if (P.first == "degraded-runs") {
-      if (!parseU64(P.second, Out.DegradedRuns))
+      if (!prof::parseInteger(P.second, Out.DegradedRuns))
         return false;
     }
   }

@@ -32,7 +32,7 @@
 #ifndef ALGOPROF_SERVICE_PROTOCOL_H
 #define ALGOPROF_SERVICE_PROTOCOL_H
 
-#include "resilience/Resilience.h"
+#include "core/JobOptions.h"
 
 #include <cstdint>
 #include <string>
@@ -107,10 +107,11 @@ ReadStatus readFrame(int Fd, Frame &Out, size_t MaxPayload);
 // Job request
 //===----------------------------------------------------------------------===//
 
-/// A profiling job: what to run and under which session options. The
-/// payload mirrors the CLI surface (docs/service.md lists every key);
-/// exactly one of Corpus / Source / Resume must be set.
-struct JobRequest {
+/// A profiling job: the program, the job description every surface
+/// shares (core/JobOptions.h, whose table docs/service.md lists), and
+/// the wire-only session keys. Exactly one of Corpus / Source / Resume
+/// must be set.
+struct JobRequest : prof::JobOptions {
   /// Auth token (`auth=` line). Required on TCP transports; ignored on
   /// the Unix socket, where filesystem permissions gate access.
   std::string Auth;
@@ -125,21 +126,14 @@ struct JobRequest {
   uint64_t FromDelta = 0;
   std::string Corpus; ///< Built-in corpus program name, or
   std::string Source; ///< MiniJ source text.
-  std::string EntryClass = "Main";
-  std::string EntryMethod = "main";
-  std::vector<int64_t> Seeds; ///< One run per seed (wins over Runs).
-  int Runs = 1;
-  std::vector<int64_t> Input; ///< Input channel for unseeded runs.
-  resilience::FailurePolicy Policy = resilience::FailurePolicy::Fail;
-  int MaxAttempts = 3;
-  uint64_t MaxHeapBytes = 0; ///< 0 = off (subject to daemon quota).
-  uint64_t RunDeadlineMs = 0;
-  std::string InjectSpec; ///< FaultPlan spec, session-scoped.
+
+  bool operator==(const JobRequest &) const = default;
 };
 
-/// Renders the Job payload: version line, key=value lines, and — for
-/// inline source — a `source=<bytes>` line followed by exactly that
-/// many raw bytes.
+/// Renders the Job payload: version line, key=value lines (the job keys
+/// through encodeJobOptions), and — for inline source — a
+/// `source=<bytes>` line followed by exactly that many raw bytes. The
+/// daemon's journal stores this payload, so its bytes must not move.
 std::string encodeJobRequest(const JobRequest &R);
 
 /// Parses a Job payload. On failure returns false with a message in

@@ -286,7 +286,7 @@ TEST(ChaosService, FiftySeededFaultSchedulesRecoverByteIdentical) {
   O.CompactBytes = 2048; // Aggressive: every few sessions rotate the WAL.
   DaemonFixture F(std::move(O));
 
-  JobSpec Job;
+  JobRequest Job;
   Job.Corpus = "seeded_insertion_sort_random";
   Job.Seeds = {4, 8, 12, 16};
   prof::SessionOptions SO;
@@ -356,7 +356,7 @@ TEST(ChaosService, FiftySeededFaultSchedulesRecoverByteIdentical) {
 //===----------------------------------------------------------------------===//
 
 TEST(ChaosService, SeededCrashRestartsResumeFromCursor) {
-  JobSpec Job;
+  JobRequest Job;
   Job.Corpus = "seeded_insertion_sort_random";
   Job.Seeds = {3, 5, 7, 9};
   prof::SessionOptions SO;
@@ -386,7 +386,7 @@ TEST(ChaosService, SeededCrashRestartsResumeFromCursor) {
     // Resume at a seeded cursor: the daemon owes exactly n-k deltas,
     // the tail of the stream, then the byte-identical document.
     uint64_t K = R.range(5); // 0..4 of 4 runs.
-    JobSpec Rs;
+    JobRequest Rs;
     Rs.Resume = Id;
     Rs.FromDelta = K;
     TypedResult Res = runTyped(F.Opts.SocketPath, Rs);
@@ -409,13 +409,13 @@ TEST(ChaosService, CursorPastTheRetainedCountIsRejected) {
   O.JournalPath = JournalPath;
   DaemonFixture F(std::move(O));
 
-  JobSpec Job;
+  JobRequest Job;
   Job.Corpus = "seeded_insertion_sort_random";
   Job.Seeds = {4, 8};
   TypedResult First = runTyped(F.Opts.SocketPath, Job);
   ASSERT_TRUE(First.Ok) << First.Error.Code << ": " << First.Error.Message;
 
-  JobSpec Rs;
+  JobRequest Rs;
   Rs.Resume = First.Acceptance.Session;
   Rs.FromDelta = 3; // Only 2 deltas retained.
   TypedResult R = runTyped(F.Opts.SocketPath, Rs);
@@ -593,7 +593,7 @@ TEST(ChaosJournal, CompactionKeepsPendingDropsCompletedPreservesMaxId) {
 //===----------------------------------------------------------------------===//
 
 TEST(ChaosEviction, ByteBudgetEvictsOldestCompletedFirst) {
-  JobSpec Job;
+  JobRequest Job;
   Job.Corpus = "seeded_insertion_sort_random";
   Job.Seeds = {4, 8};
 
@@ -628,7 +628,7 @@ TEST(ChaosEviction, ByteBudgetEvictsOldestCompletedFirst) {
 
   // The oldest (A) was evicted to admit B; its tombstone answers
   // resume with the dedicated code, not unknown-session, not a hang.
-  JobSpec Rs;
+  JobRequest Rs;
   Rs.Resume = A.Acceptance.Session;
   TypedResult RA = runTyped(F.Opts.SocketPath, Rs);
   EXPECT_FALSE(RA.Ok);
@@ -654,14 +654,14 @@ TEST(ChaosEviction, TtlEvictsOnTheInjectedClock) {
   O.NowMs = [Clock] { return Clock->load(); };
   DaemonFixture F(std::move(O));
 
-  JobSpec Job;
+  JobRequest Job;
   Job.Corpus = "seeded_insertion_sort_random";
   Job.Seeds = {4, 8};
   TypedResult R = runTyped(F.Opts.SocketPath, Job);
   ASSERT_TRUE(R.Ok) << R.Error.Code << ": " << R.Error.Message;
 
   // Inside the TTL the session resumes normally.
-  JobSpec Rs;
+  JobRequest Rs;
   Rs.Resume = R.Acceptance.Session;
   TypedResult Fresh = runTyped(F.Opts.SocketPath, Rs);
   ASSERT_TRUE(Fresh.Ok) << Fresh.Error.Code << ": " << Fresh.Error.Message;
@@ -688,7 +688,7 @@ TEST(ChaosDrain, FinishesInFlightSessionsThenRefusesNewOnes) {
   O.JournalPath = JournalPath;
   DaemonFixture F(std::move(O));
 
-  JobSpec Job;
+  JobRequest Job;
   Job.Corpus = "seeded_insertion_sort_random";
   Job.Seeds = {2, 4, 6, 8, 10, 12, 14, 16};
   prof::SessionOptions SO;
@@ -764,7 +764,7 @@ TEST(ChaosDrain, UnderLoadEverySessionCompletesOrStaysResumable) {
   std::vector<std::thread> Clients;
   for (size_t I = 0; I < NumSessions; ++I)
     Clients.emplace_back([&, I] {
-      JobSpec Job;
+      JobRequest Job;
       Job.Corpus = Corpus;
       Job.Seeds = SeedGrids[I % SeedGrids.size()];
       Results[I] = runTyped(F.Opts.SocketPath, Job);

@@ -138,7 +138,9 @@ TEST(ServiceProtocol, JobRequestRejectsGarbage) {
   std::string Err;
   // Wrong version, unknown key, bad ints, wrong source byte count,
   // neither corpus nor source nor resume, conflicting goals, zero
-  // resume id.
+  // resume id, counts out of the CLI's ranges (runs in [1, 10^9],
+  // retries in [0, 1000]; they used to wrap into a 32-bit int), and an
+  // empty entry class or method.
   for (const std::string &Bad : {
            std::string("algoprof-job/9\ncorpus=x\n"),
            std::string("algoprof-wire/2\nwat=1\ncorpus=x\n"),
@@ -148,6 +150,13 @@ TEST(ServiceProtocol, JobRequestRejectsGarbage) {
            std::string("algoprof-wire/2\ncorpus=x\nsource=2\nhi"),
            std::string("algoprof-wire/2\ncorpus=x\nresume=1\n"),
            std::string("algoprof-wire/2\nresume=0\n"),
+           std::string("algoprof-wire/2\ncorpus=x\nruns=3000000000\n"),
+           std::string("algoprof-wire/2\ncorpus=x\nruns=4294967297\n"),
+           std::string("algoprof-wire/2\ncorpus=x\nruns=1000000001\n"),
+           std::string("algoprof-wire/2\ncorpus=x\nretries=2147483647\n"),
+           std::string("algoprof-wire/2\ncorpus=x\nretries=1001\n"),
+           std::string("algoprof-wire/2\ncorpus=x\nentry-class=\n"),
+           std::string("algoprof-wire/2\ncorpus=x\nentry-method=\n"),
        }) {
     EXPECT_FALSE(parseJobRequest(Bad, P, Err)) << Bad;
     EXPECT_FALSE(Err.empty());
@@ -313,7 +322,7 @@ TEST(ServiceCompileCache, ErrorThenFixedSourceRecompiles) {
 
 TEST(ServiceDaemon, StreamsCorpusSessionByteIdenticalToSerial) {
   DaemonFixture F;
-  JobSpec Job;
+  JobRequest Job;
   Job.Corpus = "seeded_insertion_sort_random";
   Job.Seeds = {4, 8, 12, 16};
 
@@ -370,7 +379,7 @@ TEST(ServiceDaemon, StreamsCorpusSessionByteIdenticalToSerial) {
 
 TEST(ServiceDaemon, StreamsInlineSourceWithInjectedFaults) {
   DaemonFixture F;
-  JobSpec Job;
+  JobRequest Job;
   Job.Source = corpusSource("seeded_insertion_sort_reversed");
   Job.Seeds = {4, 8, 12, 16, 20};
   Job.Policy = resilience::FailurePolicy::Skip;
@@ -412,7 +421,7 @@ TEST(ServiceDaemon, TcpRequiresValidToken) {
   int Port = F.D->listenPort();
   ASSERT_GT(Port, 0);
 
-  JobSpec Job;
+  JobRequest Job;
   Job.Corpus = "seeded_insertion_sort_random";
   Job.Seeds = {4, 8, 12};
 
@@ -493,8 +502,8 @@ namespace {
 
 /// A job with enough runs that its delta stream overflows the tiny
 /// send buffers configured by the backpressure tests.
-JobSpec backpressureJob() {
-  JobSpec Job;
+JobRequest backpressureJob() {
+  JobRequest Job;
   Job.Corpus = "seeded_insertion_sort_random";
   for (int I = 0; I < 96; ++I)
     Job.Seeds.push_back(4 + (I % 4) * 4);
@@ -513,7 +522,7 @@ DaemonOptions backpressureOptions(SendBuffer::Policy P) {
 
 TEST(ServiceDaemon, SlowClientDropsDeltasButProfileIsIntact) {
   DaemonFixture F(backpressureOptions(SendBuffer::Policy::DropDeltas));
-  JobSpec Job = backpressureJob();
+  JobRequest Job = backpressureJob();
 
   // Submit but do NOT read: the daemon's delta stream hits the kernel
   // buffer, then the bounded pending buffer, then the drop policy —
@@ -547,7 +556,7 @@ TEST(ServiceDaemon, SlowClientDropsDeltasButProfileIsIntact) {
 
 TEST(ServiceDaemon, SlowClientDisconnectPolicyCutsTheSession) {
   DaemonFixture F(backpressureOptions(SendBuffer::Policy::Disconnect));
-  JobSpec Job = backpressureJob();
+  JobRequest Job = backpressureJob();
 
   Session S = Client::unixSocket(F.Opts.SocketPath).submit(Job);
   // Under Disconnect the overflow shuts the socket down; the session
@@ -572,7 +581,7 @@ TEST(ServiceDaemon, SlowClientDisconnectPolicyCutsTheSession) {
 
 TEST(ServiceDaemon, ReplaysJournaledJobAndServesByteIdenticalResume) {
   std::string JournalPath = testScratchPath("journal");
-  JobSpec Job;
+  JobRequest Job;
   Job.Corpus = "seeded_insertion_sort_random";
   Job.Seeds = {4, 8, 12, 16};
 
@@ -594,7 +603,7 @@ TEST(ServiceDaemon, ReplaysJournaledJobAndServesByteIdenticalResume) {
 
   // Resume immediately — racing the in-flight replay on purpose: the
   // daemon blocks the resume until the replayed results land.
-  JobSpec Rs;
+  JobRequest Rs;
   Rs.Resume = 7;
   TypedResult R = runTyped(F.Opts.SocketPath, Rs);
   ASSERT_TRUE(R.Ok) << R.Error.Code << ": " << R.Error.Message;
@@ -638,7 +647,7 @@ TEST(ServiceDaemon, ReplaysJournaledJobAndServesByteIdenticalResume) {
 
 TEST(ServiceDaemon, CompletedJournalEntriesAreNotReplayed) {
   std::string JournalPath = testScratchPath("journal");
-  JobSpec Job;
+  JobRequest Job;
   Job.Corpus = "seeded_insertion_sort_random";
   Job.Seeds = {4, 8};
   {
@@ -655,7 +664,7 @@ TEST(ServiceDaemon, CompletedJournalEntriesAreNotReplayed) {
 
   // Nothing pending: nothing replayed, and results of sessions that
   // completed before the restart are not retained.
-  JobSpec Rs;
+  JobRequest Rs;
   Rs.Resume = 3;
   TypedResult R = runTyped(F.Opts.SocketPath, Rs);
   ASSERT_TRUE(R.Error.any());
@@ -669,7 +678,7 @@ TEST(ServiceDaemon, CompletedJournalEntriesAreNotReplayed) {
 
 TEST(ServiceDaemon, ResumeNeedsAJournaledDaemon) {
   DaemonFixture F; // No JournalPath: durability off.
-  JobSpec Rs;
+  JobRequest Rs;
   Rs.Resume = 1;
   TypedResult R = runTyped(F.Opts.SocketPath, Rs);
   ASSERT_TRUE(R.Error.any());
@@ -684,7 +693,7 @@ TEST(ServiceDaemon, LiveSessionIsJournaledAndResumable) {
   O.JournalPath = JournalPath;
   DaemonFixture F(std::move(O));
 
-  JobSpec Job;
+  JobRequest Job;
   Job.Corpus = "seeded_insertion_sort_reversed";
   Job.Seeds = {4, 8, 12};
   TypedResult First = runTyped(F.Opts.SocketPath, Job);
@@ -692,7 +701,7 @@ TEST(ServiceDaemon, LiveSessionIsJournaledAndResumable) {
 
   // A disconnected-and-reconnecting client resumes by id and receives
   // the byte-identical stream without the job running twice.
-  JobSpec Rs;
+  JobRequest Rs;
   Rs.Resume = First.Acceptance.Session;
   TypedResult Again = runTyped(F.Opts.SocketPath, Rs);
   ASSERT_TRUE(Again.Ok) << Again.Error.Code << ": " << Again.Error.Message;
@@ -794,43 +803,43 @@ TEST(ServiceDaemon, EnforcesSessionQuotas) {
   O.Quota.MaxAttempts = 3;
   DaemonFixture F(std::move(O));
 
-  auto expectQuota = [&](const JobSpec &Job) {
+  auto expectQuota = [&](const JobRequest &Job) {
     TypedResult R = runTyped(F.Opts.SocketPath, Job);
     ASSERT_TRUE(R.Error.any());
     EXPECT_FALSE(R.Error.Transport) << R.Error.Message;
     EXPECT_EQ(errc::QuotaExceeded, R.Error.Code) << R.Error.Message;
   };
 
-  JobSpec TooManyRuns;
+  JobRequest TooManyRuns;
   TooManyRuns.Corpus = "seeded_insertion_sort_random";
   TooManyRuns.Seeds = {1, 2, 3, 4, 5};
   expectQuota(TooManyRuns);
 
-  JobSpec TooMuchHeap;
+  JobRequest TooMuchHeap;
   TooMuchHeap.Corpus = "seeded_insertion_sort_random";
   TooMuchHeap.Seeds = {4};
   TooMuchHeap.MaxHeapBytes = (1 << 20) + 1;
   expectQuota(TooMuchHeap);
 
-  JobSpec TooLongDeadline = TooMuchHeap;
+  JobRequest TooLongDeadline = TooMuchHeap;
   TooLongDeadline.MaxHeapBytes = 0;
   TooLongDeadline.RunDeadlineMs = 10001;
   expectQuota(TooLongDeadline);
 
-  JobSpec TooManyAttempts = TooMuchHeap;
+  JobRequest TooManyAttempts = TooMuchHeap;
   TooManyAttempts.MaxHeapBytes = 0;
   TooManyAttempts.Policy = resilience::FailurePolicy::Retry;
   TooManyAttempts.MaxAttempts = 4;
   expectQuota(TooManyAttempts);
 
-  JobSpec TooBigSource;
+  JobRequest TooBigSource;
   TooBigSource.Source = std::string((1 << 16) + 1, 'x');
   TooBigSource.Seeds = {4};
   expectQuota(TooBigSource);
 
   // Within quota still works; the unlimited heap request was clamped
   // to the cap, which these tiny runs never hit.
-  JobSpec Ok;
+  JobRequest Ok;
   Ok.Corpus = "seeded_insertion_sort_random";
   Ok.Seeds = {4, 8};
   TypedResult R = runTyped(F.Opts.SocketPath, Ok);
@@ -850,7 +859,7 @@ TEST(ServiceDaemon, RejectsWhenSessionLimitReached) {
   int Holder = rawConnect(F.Opts.SocketPath);
   ASSERT_GE(Holder, 0);
 
-  JobSpec Job;
+  JobRequest Job;
   Job.Corpus = "seeded_insertion_sort_random";
   Job.Seeds = {4};
   TypedResult R = runTyped(F.Opts.SocketPath, Job);
@@ -882,7 +891,7 @@ TEST(ServiceDaemon, SessionLimitReplyReachesAClientStillSending) {
   // A job far larger than the socket buffer: the daemon rejects at
   // accept and closes before the client has written it, so the send
   // fails. The rejection sent before the close must still be reported.
-  JobSpec Job;
+  JobRequest Job;
   Job.Source = std::string(8u << 20, 'x');
   Job.Seeds = {4};
   TypedResult R = runTyped(F.Opts.SocketPath, Job);
@@ -894,7 +903,7 @@ TEST(ServiceDaemon, SessionLimitReplyReachesAClientStillSending) {
 TEST(ServiceDaemon, CompileErrorsAreAnsweredAndNotPermanent) {
   DaemonFixture F;
   const std::string Broken = "class Main { static void main() { ";
-  JobSpec Bad;
+  JobRequest Bad;
   Bad.Source = Broken;
   Bad.Seeds = {4};
 
@@ -906,7 +915,7 @@ TEST(ServiceDaemon, CompileErrorsAreAnsweredAndNotPermanent) {
   // The "fixed" resubmission is new content: it compiles and profiles
   // (under the old path-keyed error caching this returned the stale
   // diagnostics forever).
-  JobSpec Fixed = Bad;
+  JobRequest Fixed = Bad;
   Fixed.Source = corpusSource("seeded_insertion_sort_random");
   R = runTyped(F.Opts.SocketPath, Fixed);
   EXPECT_TRUE(R.Ok) << R.Error.Code << ": " << R.Error.Message;
@@ -923,7 +932,7 @@ TEST(ServiceDaemon, SurvivesClientDisconnectMidStream) {
 
   // By hand: send the job, read Accepted, vanish. The daemon keeps
   // running the session on the shared pool and completes it.
-  JobSpec Job;
+  JobRequest Job;
   Job.Corpus = "seeded_insertion_sort_random";
   Job.Seeds = {4, 8, 12, 16, 20, 24};
   int Fd = rawConnect(F.Opts.SocketPath);
@@ -959,7 +968,7 @@ TEST(ServiceDaemon, MetricsEndpointServesLiveRegistry) {
   DaemonFixture F(std::move(O));
   ASSERT_GT(F.D->metricsPort(), 0);
 
-  JobSpec Job;
+  JobRequest Job;
   Job.Corpus = "seeded_insertion_sort_random";
   Job.Seeds = {4, 8, 12};
   TypedResult R = runTyped(F.Opts.SocketPath, Job);
@@ -1047,7 +1056,7 @@ TEST(ServiceDaemon, Soak64ConcurrentSessionsWithFaults) {
   for (size_t I = 0; I < NumSessions; ++I)
     Clients.emplace_back([&, I] {
       const Shape &Sh = Shapes[I % Shapes.size()];
-      JobSpec Job;
+      JobRequest Job;
       Job.Corpus = Sh.Corpus;
       Job.Seeds = Sh.Seeds;
       Job.Policy = Sh.Policy;

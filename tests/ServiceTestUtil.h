@@ -102,7 +102,7 @@ inline std::string httpGet(int Port, const std::string &Path) {
 
 /// One job over the typed API against a Unix-socket daemon.
 inline service::TypedResult runTyped(const std::string &SocketPath,
-                                     const service::JobSpec &Job) {
+                                     const service::JobRequest &Job) {
   return service::Client::unixSocket(SocketPath).submit(Job).wait();
 }
 

@@ -11,28 +11,39 @@
 ///     --corpus NAME          run a built-in corpus program, or
 ///     --file PROG.mj         submit inline MiniJ source, or
 ///     --resume ID            re-stream a journaled session's results
+///                            (an integer >= 1)
 ///     --from-delta K         resume cursor: skip the first K deltas
-///                            the client already saw (with --resume)
-///     --entry Cls.Method     entry point (default Main.main)
-///     --seeds a,b,c          one run per seed (wins over --runs)
-///     --runs N               unseeded run count (default 1)
-///     --input a,b,c          input channel for unseeded runs
-///     --policy P             fail | skip | retry
-///     --retries N            retries per run under retry policy
-///                            (run-level, inside the daemon's VM —
-///                            distinct from --connect-retries)
+///                            the client already saw (with --resume;
+///                            an integer >= 0)
 ///     --connect-retries N    transport retries: reconnect with
 ///                            backoff and auto-resume at the delta
 ///                            cursor after a dropped connection
-///                            (default 0)
+///                            (an integer in [0, 4294967295], default 0)
 ///     --timeout-ms N         per-operation socket deadline; a
 ///                            stalled daemon becomes a transport
-///                            fault instead of a hang (default none)
-///     --max-heap-bytes N     per-run heap budget
-///     --deadline-ms N        per-run deadline
-///     --inject SPEC          session-scoped fault plan
+///                            fault instead of a hang (an integer >= 0,
+///                            default 0 = none)
 ///     --out FILE             write the profile JSON here (default stdout)
 ///     --quiet                suppress per-run delta lines on stderr
+///
+/// The job flags are the table of core/JobOptions.h, shared with
+/// `algoprof` and the job payload (docs/service.md), and parse the same
+/// way everywhere; the usage text prints them from that table:
+///     --entry Class.method   Class.method, class and method non-empty
+///                            (default Main.main)
+///     --seeds v1,v2,...      one run per seed (wins over --runs)
+///     --runs N               an integer in [1, 1000000000] (default 1)
+///     --input v1,v2,...      input channel for unseeded runs
+///     --policy P             fail | skip | retry (default fail)
+///     --retries N            run-level retries under --policy retry,
+///                            inside the daemon's VM (distinct from
+///                            --connect-retries): an integer in
+///                            [0, 1000] (default 2)
+///     --max-heap-bytes N     per-run heap budget: an integer >= 0
+///                            (default 0 = off)
+///     --deadline-ms N        per-run deadline: an integer >= 0
+///                            (default 0 = off)
+///     --inject SPEC          session-scoped fault plan
 ///
 /// Exit status: 0 on a completed profile, 1 on rejection or transport
 /// failure, 2 on usage errors.
@@ -41,11 +52,10 @@
 
 #include "service/Client.h"
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -54,63 +64,16 @@ using namespace algoprof;
 namespace {
 
 int usage(const char *Argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s --connect unix:PATH|tcp:HOST:PORT\n"
-      "       (--corpus NAME | --file PROG.mj | --resume ID)\n"
-      "       [--from-delta K] [--auth-token-file F]\n"
-      "       [--entry Cls.Method]\n"
-      "       [--seeds a,b,c] [--runs N] [--input a,b,c]\n"
-      "       [--policy fail|skip|retry] [--retries N]\n"
-      "       [--connect-retries N] [--timeout-ms N]\n"
-      "       [--max-heap-bytes N] [--deadline-ms N] [--inject SPEC]\n"
-      "       [--out FILE] [--quiet]\n",
-      Argv0);
+  std::fprintf(stderr,
+               "usage: %s --connect unix:PATH|tcp:HOST:PORT\n"
+               "       (--corpus NAME | --file PROG.mj | --resume ID)\n"
+               "       [--from-delta K] [--auth-token-file F]\n"
+               "       [--connect-retries N] [--timeout-ms N]\n"
+               "       [--out FILE] [--quiet] [job options]\n"
+               "job options (as in algoprof and the algoprofd job "
+               "payload):\n%s",
+               Argv0, prof::jobFlagsUsage().c_str());
   return 2;
-}
-
-bool parseU64Arg(const char *Flag, const char *Val, uint64_t &Out) {
-  if (!Val)
-    return false;
-  errno = 0;
-  char *End = nullptr;
-  long long V = std::strtoll(Val, &End, 10);
-  if (End == Val || *End != '\0' || errno == ERANGE || V < 0) {
-    std::fprintf(stderr,
-                 "error: %s needs a non-negative integer, got '%s'\n",
-                 Flag, Val ? Val : "");
-    return false;
-  }
-  Out = static_cast<uint64_t>(V);
-  return true;
-}
-
-bool parseIntListArg(const char *Flag, const char *Val,
-                     std::vector<int64_t> &Out) {
-  if (!Val)
-    return false;
-  Out.clear();
-  std::string S = Val;
-  size_t Pos = 0;
-  while (Pos <= S.size()) {
-    size_t Comma = S.find(',', Pos);
-    std::string Item = S.substr(
-        Pos, Comma == std::string::npos ? std::string::npos : Comma - Pos);
-    errno = 0;
-    char *End = nullptr;
-    long long V = std::strtoll(Item.c_str(), &End, 10);
-    if (Item.empty() || End == Item.c_str() || *End != '\0' ||
-        errno == ERANGE) {
-      std::fprintf(stderr, "error: %s has an invalid entry '%s'\n", Flag,
-                   Item.c_str());
-      return false;
-    }
-    Out.push_back(V);
-    if (Comma == std::string::npos)
-      break;
-    Pos = Comma + 1;
-  }
-  return true;
 }
 
 bool readFile(const std::string &Path, std::string &Out) {
@@ -135,16 +98,32 @@ std::string firstLineTrimmed(const std::string &Data) {
 } // namespace
 
 int main(int Argc, char **Argv) {
-  std::string Connect, TokenFile, SourceFile, EntrySpec, OutPath;
-  service::JobSpec Job;
+  std::string Connect, TokenFile, SourceFile, OutPath, Err;
+  service::JobRequest Job;
   service::RetryPolicy Retry;
   bool Quiet = false;
 
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
     const char *Val = I + 1 < Argc ? Argv[I + 1] : nullptr;
-    uint64_t N = 0;
-    if (Arg == "--connect" && Val) {
+    auto IntFlag = [&](int64_t Min, int64_t Max, auto &Out) {
+      ++I;
+      return prof::parseIntFlag(Arg.c_str(), Val, Min, Max, Out, Err);
+    };
+    bool Ok = true;
+    if (const prof::JobKey *K = prof::findJobFlag(Arg)) {
+      Ok = prof::parseJobValue(*K, K->Flag, Val, Job, Err);
+      ++I;
+    } else if (Arg == "--resume") {
+      Ok = IntFlag(1, prof::MaxInt64, Job.Resume);
+    } else if (Arg == "--from-delta") {
+      Ok = IntFlag(0, prof::MaxInt64, Job.FromDelta);
+    } else if (Arg == "--connect-retries") {
+      Ok = IntFlag(0, std::numeric_limits<unsigned>::max(),
+                   Retry.ConnectRetries);
+    } else if (Arg == "--timeout-ms") {
+      Ok = IntFlag(0, prof::MaxInt64, Retry.TimeoutMs);
+    } else if (Arg == "--connect" && Val) {
       Connect = Val;
       ++I;
     } else if (Arg == "--auth-token-file" && Val) {
@@ -156,65 +135,6 @@ int main(int Argc, char **Argv) {
     } else if (Arg == "--file" && Val) {
       SourceFile = Val;
       ++I;
-    } else if (Arg == "--resume") {
-      if (!parseU64Arg("--resume", Val, Job.Resume) || Job.Resume == 0) {
-        std::fprintf(stderr, "error: --resume needs a session id\n");
-        return 2;
-      }
-      ++I;
-    } else if (Arg == "--from-delta") {
-      if (!parseU64Arg("--from-delta", Val, Job.FromDelta))
-        return 2;
-      ++I;
-    } else if (Arg == "--connect-retries") {
-      if (!parseU64Arg("--connect-retries", Val, N))
-        return 2;
-      Retry.ConnectRetries = static_cast<unsigned>(N);
-      ++I;
-    } else if (Arg == "--timeout-ms") {
-      if (!parseU64Arg("--timeout-ms", Val, Retry.TimeoutMs))
-        return 2;
-      ++I;
-    } else if (Arg == "--entry" && Val) {
-      EntrySpec = Val;
-      ++I;
-    } else if (Arg == "--seeds") {
-      if (!parseIntListArg("--seeds", Val, Job.Seeds))
-        return 2;
-      ++I;
-    } else if (Arg == "--runs") {
-      if (!parseU64Arg("--runs", Val, N) || N < 1) {
-        std::fprintf(stderr, "error: --runs needs a positive integer\n");
-        return 2;
-      }
-      Job.Runs = static_cast<int>(N);
-      ++I;
-    } else if (Arg == "--input") {
-      if (!parseIntListArg("--input", Val, Job.Input))
-        return 2;
-      ++I;
-    } else if (Arg == "--policy" && Val) {
-      if (!resilience::parseFailurePolicy(Val, Job.Policy)) {
-        std::fprintf(stderr, "error: unknown policy '%s'\n", Val);
-        return 2;
-      }
-      ++I;
-    } else if (Arg == "--retries") {
-      if (!parseU64Arg("--retries", Val, N))
-        return 2;
-      Job.MaxAttempts = static_cast<int>(N) + 1;
-      ++I;
-    } else if (Arg == "--max-heap-bytes") {
-      if (!parseU64Arg("--max-heap-bytes", Val, Job.MaxHeapBytes))
-        return 2;
-      ++I;
-    } else if (Arg == "--deadline-ms") {
-      if (!parseU64Arg("--deadline-ms", Val, Job.RunDeadlineMs))
-        return 2;
-      ++I;
-    } else if (Arg == "--inject" && Val) {
-      Job.InjectSpec = Val;
-      ++I;
     } else if (Arg == "--out" && Val) {
       OutPath = Val;
       ++I;
@@ -224,6 +144,10 @@ int main(int Argc, char **Argv) {
       std::fprintf(stderr, "error: unknown or incomplete argument '%s'\n",
                    Arg.c_str());
       return usage(Argv[0]);
+    }
+    if (!Ok) {
+      std::fprintf(stderr, "error: %s\n", Err.c_str());
+      return 2;
     }
   }
 
@@ -241,16 +165,6 @@ int main(int Argc, char **Argv) {
   if (!SourceFile.empty() && !readFile(SourceFile, Job.Source)) {
     std::fprintf(stderr, "error: cannot read '%s'\n", SourceFile.c_str());
     return 1;
-  }
-  if (!EntrySpec.empty()) {
-    size_t Dot = EntrySpec.find('.');
-    if (Dot == std::string::npos || Dot == 0 ||
-        Dot + 1 == EntrySpec.size()) {
-      std::fprintf(stderr, "error: --entry wants Cls.Method\n");
-      return 2;
-    }
-    Job.EntryClass = EntrySpec.substr(0, Dot);
-    Job.EntryMethod = EntrySpec.substr(Dot + 1);
   }
   if (Job.FromDelta != 0 && Job.Resume == 0) {
     std::fprintf(stderr, "error: --from-delta requires --resume\n");

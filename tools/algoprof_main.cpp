@@ -4,31 +4,22 @@
 /// Profiles a MiniJ source file and prints its algorithmic profile:
 ///
 ///   algoprof program.mj [options]
-///     --entry Class.method       entry point (default: Main.main)
+///     --entry, --seeds, --runs, --input, --policy, --retries,
+///     --max-heap-bytes, --deadline-ms, --inject
+///                                the job flags: the table of
+///                                core/JobOptions.h, shared with
+///                                algoprof_client and the algoprofd job
+///                                payload; the usage text lists each
+///                                flag's range and default from it
+///                                (ALGOPROF_INJECT arms faults when
+///                                --inject is absent)
 ///     --grouping MODE            common-input | same-method | dataflow
 ///     --equivalence CRIT         some | all | same-array | same-type
 ///     --snapshots MODE           eager | tracked
 ///     --sample N                 invocation-sampling threshold (0 = off)
-///     --runs N                   run the entry N times (default 1)
 ///     --jobs J                   shard the runs over J worker threads
 ///                                (0 = hardware concurrency; output is
 ///                                identical for every J)
-///     --input v1,v2,...          values for the external input channel
-///     --seeds v1,v2,...          one run per seed, each run's input
-///                                channel pre-loaded with just its seed
-///                                (overrides --runs/--input)
-///     --policy P                 per-run failure policy: fail | skip |
-///                                retry (default fail; see
-///                                docs/resilience.md)
-///     --retries N                extra attempts per failed run under
-///                                --policy retry (default 2)
-///     --max-heap-bytes N         per-run heap-byte budget (0 = off);
-///                                overruns end the run with a
-///                                deterministic budget trap, not OOM
-///     --deadline-ms N            per-run wall-clock deadline (0 = off)
-///     --inject SPEC              arm deterministic faults, e.g.
-///                                heap-oom@run3,io-write-fail@metrics
-///                                (env: ALGOPROF_INJECT)
 ///     --corpus WHAT              batch-profile a whole corpus instead
 ///                                of one file: 'builtin' (every built-in
 ///                                example/Table-1 program) or a
@@ -60,6 +51,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "cct/CctProfiler.h"
+#include "core/JobOptions.h"
 #include "core/Session.h"
 #include "parallel/CorpusRunner.h"
 #include "programs/Programs.h"
@@ -74,12 +66,9 @@
 #include <exception>
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
-#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -99,13 +88,10 @@ struct RenderJob {
 struct CliOptions {
   std::string File;
   std::string Corpus; ///< --corpus value: "builtin" or a directory.
-  std::string EntryClass = "Main";
-  std::string EntryMethod = "main";
+  JobOptions Job;     ///< The job flags; applied to Session once parsed.
   GroupingStrategy Grouping = GroupingStrategy::CommonInput;
   SessionOptions Session;
   bool WithCct = false;
-  bool InjectGiven = false; ///< --inject on the command line (overrides
-                            ///< the ALGOPROF_INJECT environment spec).
   std::vector<RenderJob> Jobs;
   std::string TraceFile;
   std::string MetricsFile;
@@ -113,69 +99,21 @@ struct CliOptions {
 
 void usageAndExit(const char *Argv0) {
   std::fprintf(stderr,
-               "usage: %s <file.mj> | --corpus builtin|DIR "
-               "[--entry Class.method] "
+               "usage: %s <file.mj> | --corpus builtin|DIR [job options] "
                "[--grouping common-input|same-method|dataflow] "
                "[--equivalence some|all|same-array|same-type] "
-               "[--snapshots eager|tracked] [--sample N] [--runs N] "
-               "[--jobs J] [--input v1,v2,...] [--seeds v1,v2,...] "
-               "[--policy fail|skip|retry] [--retries N] "
-               "[--max-heap-bytes N] [--deadline-ms N] [--inject SPEC] "
+               "[--snapshots eager|tracked] [--sample N] [--jobs J] "
                "[--cct] "
                "[--format table|tree|csv|dot|json] [--out FILE] "
-               "[--trace FILE] [--metrics FILE]\n",
-               Argv0);
+               "[--trace FILE] [--metrics FILE]\n"
+               "job options (as in algoprof_client and the algoprofd job "
+               "payload):\n%s",
+               Argv0, jobFlagsUsage().c_str());
   std::exit(2);
 }
 
-/// Strictly parses a decimal integer: the whole string must be
-/// consumed and the value must fit in int64_t. atoi/atoll would accept
-/// "12abc" (as 12), turn garbage into 0, and silently saturate on
-/// overflow — all of which used to make flags like `--runs` profile
-/// something other than what was asked.
-bool parseInt64(const char *S, int64_t &Out) {
-  if (!S || !*S)
-    return false;
-  errno = 0;
-  char *End = nullptr;
-  long long V = std::strtoll(S, &End, 10);
-  if (End == S || *End != '\0' || errno == ERANGE)
-    return false;
-  Out = V;
-  return true;
-}
-
-/// Strict bounded int for count-like flags.
-bool parseIntIn(const char *S, int64_t Min, int64_t Max, int64_t &Out) {
-  return parseInt64(S, Out) && Out >= Min && Out <= Max;
-}
-
-/// Splits a comma-separated list of strictly parsed 64-bit integers. A
-/// stray character, an empty field, or an out-of-range value fails the
-/// whole list (it used to be silently truncated).
-bool parseIntList(const char *S, std::vector<int64_t> &Out) {
-  if (!S)
-    return false;
-  std::string Str = S;
-  size_t Pos = 0;
-  while (!Str.empty() && Pos <= Str.size()) {
-    size_t Comma = Str.find(',', Pos);
-    std::string Field = Str.substr(
-        Pos, Comma == std::string::npos ? std::string::npos : Comma - Pos);
-    int64_t N;
-    if (!parseInt64(Field.c_str(), N))
-      return false;
-    Out.push_back(N);
-    if (Comma == std::string::npos)
-      break;
-    Pos = Comma + 1;
-  }
-  return true;
-}
-
-bool argError(const char *Flag, const char *V, const char *Expected) {
-  std::fprintf(stderr, "error: invalid value '%s' for %s (expected %s)\n",
-               V ? V : "<missing>", Flag, Expected);
+bool argError(const std::string &Msg) {
+  std::fprintf(stderr, "error: %s\n", Msg.c_str());
   return false;
 }
 
@@ -187,16 +125,10 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
   };
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
-    if (Arg == "--entry") {
-      const char *V = Need(I);
-      if (!V)
-        return false;
-      std::string S = V;
-      size_t Dot = S.find('.');
-      if (Dot == std::string::npos)
-        return false;
-      Opts.EntryClass = S.substr(0, Dot);
-      Opts.EntryMethod = S.substr(Dot + 1);
+    std::string Err;
+    if (const JobKey *K = findJobFlag(Arg)) {
+      if (!parseJobValue(*K, K->Flag, Need(I), Opts.Job, Err))
+        return argError(Err);
     } else if (Arg == "--grouping") {
       const char *V = Need(I);
       if (!V)
@@ -239,69 +171,18 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
       else
         return false;
     } else if (Arg == "--sample") {
-      const char *V = Need(I);
-      int64_t N;
-      if (!V || !parseIntIn(V, 0, std::numeric_limits<int64_t>::max(), N))
-        return argError("--sample", V, "an integer >= 0");
-      Opts.Session.Profile.SampleThreshold = N;
-    } else if (Arg == "--runs") {
-      const char *V = Need(I);
-      int64_t N;
-      if (!V || !parseIntIn(V, 1, 1'000'000'000, N))
-        return argError("--runs", V, "an integer >= 1");
-      Opts.Session.Runs = static_cast<int>(N);
+      if (!parseIntFlag("--sample", Need(I), 0, MaxInt64,
+                        Opts.Session.Profile.SampleThreshold, Err))
+        return argError(Err);
     } else if (Arg == "--jobs") {
-      const char *V = Need(I);
-      int64_t N;
-      if (!V || !parseIntIn(V, 0, 1'000'000, N))
-        return argError("--jobs", V,
-                        "an integer >= 0 (0 = hardware concurrency)");
-      Opts.Session.Jobs = static_cast<int>(N);
-    } else if (Arg == "--input") {
-      const char *V = Need(I);
-      if (!V || !parseIntList(V, Opts.Session.Input))
-        return argError("--input", V,
-                        "a comma-separated list of 64-bit integers");
-    } else if (Arg == "--seeds") {
-      const char *V = Need(I);
-      if (!V || !parseIntList(V, Opts.Session.Seeds))
-        return argError("--seeds", V,
-                        "a comma-separated list of 64-bit integers");
-    } else if (Arg == "--policy") {
-      const char *V = Need(I);
-      if (!V || !resilience::parseFailurePolicy(V, Opts.Session.Policy))
-        return argError("--policy", V, "fail|skip|retry");
-    } else if (Arg == "--retries") {
-      const char *V = Need(I);
-      int64_t N;
-      if (!V || !parseIntIn(V, 0, 1000, N))
-        return argError("--retries", V, "an integer in [0, 1000]");
-      Opts.Session.MaxAttempts = static_cast<int>(N) + 1;
-    } else if (Arg == "--max-heap-bytes") {
-      const char *V = Need(I);
-      int64_t N;
-      if (!V || !parseIntIn(V, 0, std::numeric_limits<int64_t>::max(), N))
-        return argError("--max-heap-bytes", V, "an integer >= 0 (0 = off)");
-      Opts.Session.Run.MaxHeapBytes = static_cast<uint64_t>(N);
-    } else if (Arg == "--deadline-ms") {
-      const char *V = Need(I);
-      int64_t N;
-      if (!V || !parseIntIn(V, 0, std::numeric_limits<int64_t>::max(), N))
-        return argError("--deadline-ms", V, "an integer >= 0 (0 = off)");
-      Opts.Session.Run.RunDeadlineMs = static_cast<uint64_t>(N);
-    } else if (Arg == "--inject") {
-      const char *V = Need(I);
-      std::string Err;
-      if (!V || !resilience::FaultPlan::parse(V, Opts.Session.Faults, Err))
-        return argError("--inject", V,
-                        Err.empty() ? "a fault spec like heap-oom@run3"
-                                    : Err.c_str());
-      Opts.InjectGiven = true;
+      if (!parseIntFlag("--jobs", Need(I), 0, 1'000'000, Opts.Session.Jobs,
+                        Err))
+        return argError(Err);
     } else if (Arg == "--corpus") {
       const char *V = Need(I);
       if (!V || !*V)
-        return argError("--corpus", V,
-                        "'builtin' or a directory of .mj files");
+        return argError(invalidValue(
+            "--corpus", V, "'builtin' or a directory of .mj files"));
       Opts.Corpus = V;
     } else if (Arg == "--cct") {
       Opts.WithCct = true;
@@ -311,13 +192,13 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
         std::string Names;
         for (const std::string &N : report::Registry::builtin().names())
           Names += (Names.empty() ? "" : "|") + N;
-        return argError("--format", V, Names.c_str());
+        return argError(invalidValue("--format", V, Names));
       }
       Opts.Jobs.push_back({V, ""});
     } else if (Arg == "--out") {
       const char *V = Need(I);
       if (!V)
-        return argError("--out", V, "a file path");
+        return argError(invalidValue("--out", V, "a file path"));
       if (Opts.Jobs.empty() || !Opts.Jobs.back().Out.empty()) {
         std::fprintf(stderr,
                      "error: --out must follow a --format job\n");
@@ -327,12 +208,12 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
     } else if (Arg == "--trace") {
       const char *V = Need(I);
       if (!V)
-        return argError("--trace", V, "a file path");
+        return argError(invalidValue("--trace", V, "a file path"));
       Opts.TraceFile = V;
     } else if (Arg == "--metrics") {
       const char *V = Need(I);
       if (!V)
-        return argError("--metrics", V, "a file path");
+        return argError(invalidValue("--metrics", V, "a file path"));
       Opts.MetricsFile = V;
     } else if (Arg == "--dot" || Arg == "--csv") {
       // Removed aliases (deprecated since the report-registry rewrite);
@@ -406,8 +287,8 @@ bool collectCorpus(const std::string &Spec,
   }
   std::sort(Files.begin(), Files.end());
   if (Ec || Files.empty()) {
-    argError("--corpus", Spec.c_str(),
-             "'builtin' or a directory containing .mj files");
+    argError(invalidValue("--corpus", Spec.c_str(),
+                          "'builtin' or a directory containing .mj files"));
     return false;
   }
   for (const fs::path &P : Files)
@@ -434,7 +315,7 @@ int runCorpus(CliOptions &Opts) {
 
   parallel::CorpusRunner Runner(Opts.Session);
   parallel::CorpusResult Result =
-      Runner.run(Entries, Opts.EntryClass, Opts.EntryMethod);
+      Runner.run(Entries, Opts.Job.EntryClass, Opts.Job.EntryMethod);
 
   std::printf("corpus: %d program(s) x %d run(s), %llu compile(s), "
               "%llu cache hit(s)\n\n",
@@ -519,25 +400,21 @@ int runCorpus(CliOptions &Opts) {
 
 int runTool(int Argc, char **Argv) {
   CliOptions Opts;
+  // Fault injection: the ALGOPROF_INJECT environment spec arms the same
+  // session-scoped plan as --inject (how ctest drives injection through
+  // shell cases without touching each command line); a later --inject
+  // replaces it, as any repeated job key does.
+  if (const char *Env = std::getenv("ALGOPROF_INJECT"))
+    Opts.Job.InjectSpec = Env;
   if (!parseArgs(Argc, Argv, Opts))
     usageAndExit(Argv[0]);
-
-  // Fault injection: the CLI flag wins; otherwise the ALGOPROF_INJECT
-  // environment spec arms the same plan (how ctest drives injection
-  // through shell cases without touching each command line).
-  if (!Opts.InjectGiven) {
-    if (const char *Env = std::getenv("ALGOPROF_INJECT")) {
-      std::string Err;
-      if (!resilience::FaultPlan::parse(Env, Opts.Session.Faults, Err)) {
-        std::fprintf(stderr, "error: invalid ALGOPROF_INJECT: %s\n",
-                     Err.c_str());
-        return 2;
-      }
-    }
+  // Flags parsed through the job table always apply; only an unparsed
+  // environment spec can fail here.
+  std::string Err;
+  if (!Opts.Job.applyTo(Opts.Session, Err)) {
+    std::fprintf(stderr, "error: invalid ALGOPROF_INJECT: %s\n", Err.c_str());
+    return 2;
   }
-  // All faults — run-scoped and io-scoped — now travel inside
-  // SessionOptions::Faults; the write sites below consult the session's
-  // own plan, so nothing is armed process-globally.
 
   // Span recording must be live before compilation so the frontend
   // phases land in the trace.
@@ -566,10 +443,10 @@ int runTool(int Argc, char **Argv) {
     std::fprintf(stderr, "%s", Diags.str().c_str());
     return 1;
   }
-  if (CP->entryMethod(Opts.EntryClass, Opts.EntryMethod) < 0) {
+  if (CP->entryMethod(Opts.Job.EntryClass, Opts.Job.EntryMethod) < 0) {
     std::fprintf(stderr,
                  "error: no static no-arg method %s.%s in '%s'\n",
-                 Opts.EntryClass.c_str(), Opts.EntryMethod.c_str(),
+                 Opts.Job.EntryClass.c_str(), Opts.Job.EntryMethod.c_str(),
                  Opts.File.c_str());
     return 1;
   }
@@ -580,7 +457,7 @@ int runTool(int Argc, char **Argv) {
   // identical either way (tests/ParallelSweepTest.cpp locks that down).
   ProfileDriver Driver(*CP, Opts.Session);
   std::vector<vm::RunResult> Results =
-      Driver.runAll(Opts.EntryClass, Opts.EntryMethod);
+      Driver.runAll(Opts.Job.EntryClass, Opts.Job.EntryMethod);
   uint64_t Instructions = 0;
   for (const vm::RunResult &R : Results)
     Instructions += R.InstrCount;
@@ -632,7 +509,7 @@ int runTool(int Argc, char **Argv) {
     for (size_t Run = 0; Run < CctRuns; ++Run) {
       vm::IoChannels Io;
       Io.Input = Opts.Session.Input;
-      Interp.run(CP->entryMethod(Opts.EntryClass, Opts.EntryMethod),
+      Interp.run(CP->entryMethod(Opts.Job.EntryClass, Opts.Job.EntryMethod),
                  &Profiler, Plan, Io);
     }
     std::printf("\nTraditional CCT profile:\n%s",

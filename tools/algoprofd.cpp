@@ -64,6 +64,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 #include <unistd.h>
 
@@ -83,21 +84,6 @@ void onSignal(int Signo) {
   char B = static_cast<char>(Signo);
   ssize_t W = ::write(ShutdownPipe[1], &B, 1);
   (void)W;
-}
-
-bool parseU64Arg(const char *Flag, const char *Val, uint64_t &Out) {
-  if (!Val)
-    return false;
-  errno = 0;
-  char *End = nullptr;
-  long long V = std::strtoll(Val, &End, 10);
-  if (End == Val || *End != '\0' || errno == ERANGE || V < 0) {
-    std::fprintf(stderr, "error: %s needs a non-negative integer, got '%s'\n",
-                 Flag, Val);
-    return false;
-  }
-  Out = static_cast<uint64_t>(V);
-  return true;
 }
 
 int usage(const char *Argv0) {
@@ -125,9 +111,16 @@ int main(int Argc, char **Argv) {
   service::DaemonOptions Opts;
   uint64_t DrainTimeoutMs = 5000;
   for (int I = 1; I < Argc; ++I) {
-    std::string Arg = Argv[I];
+    std::string Arg = Argv[I], Err;
     const char *Val = I + 1 < Argc ? Argv[I + 1] : nullptr;
-    uint64_t N = 0;
+    auto IntFlag = [&](auto &Out, int64_t Max = prof::MaxInt64) {
+      ++I;
+      if (prof::parseIntFlag(Arg.c_str(), Val, 0, Max, Out, Err))
+        return true;
+      std::fprintf(stderr, "error: %s\n", Err.c_str());
+      return false;
+    };
+    bool Ok = true;
     if (Arg == "--socket" && Val) {
       Opts.SocketPath = Val;
       ++I;
@@ -141,10 +134,7 @@ int main(int Argc, char **Argv) {
       Opts.JournalPath = Val;
       ++I;
     } else if (Arg == "--send-buffer-bytes") {
-      if (!parseU64Arg("--send-buffer-bytes", Val, N))
-        return 2;
-      Opts.MaxSendBufferBytes = static_cast<size_t>(N);
-      ++I;
+      Ok = IntFlag(Opts.MaxSendBufferBytes);
     } else if (Arg == "--slow-client" && Val) {
       std::string P = Val;
       if (P == "drop-deltas") {
@@ -163,77 +153,42 @@ int main(int Argc, char **Argv) {
       Opts.MetricsAddress = Val;
       ++I;
     } else if (Arg == "--jobs") {
-      if (!parseU64Arg("--jobs", Val, N))
-        return 2;
-      Opts.Workers = static_cast<unsigned>(N);
-      ++I;
+      Ok = IntFlag(Opts.Workers, std::numeric_limits<unsigned>::max());
     } else if (Arg == "--max-sessions") {
-      if (!parseU64Arg("--max-sessions", Val, N))
-        return 2;
-      Opts.MaxSessions = static_cast<size_t>(N);
-      ++I;
+      Ok = IntFlag(Opts.MaxSessions);
     } else if (Arg == "--metrics-port") {
-      if (!parseU64Arg("--metrics-port", Val, N) || N > 65535)
-        return 2;
-      Opts.MetricsPort = static_cast<int>(N);
-      ++I;
+      Ok = IntFlag(Opts.MetricsPort, 65535);
     } else if (Arg == "--max-frame-bytes") {
-      if (!parseU64Arg("--max-frame-bytes", Val, N))
-        return 2;
-      Opts.MaxFrameBytes = static_cast<size_t>(N);
-      ++I;
+      Ok = IntFlag(Opts.MaxFrameBytes);
     } else if (Arg == "--read-timeout-ms") {
-      if (!parseU64Arg("--read-timeout-ms", Val, N))
-        return 2;
-      Opts.ReadTimeoutMs = static_cast<unsigned>(N);
-      ++I;
+      Ok = IntFlag(Opts.ReadTimeoutMs, std::numeric_limits<unsigned>::max());
     } else if (Arg == "--quota-runs") {
-      if (!parseU64Arg("--quota-runs", Val, Opts.Quota.MaxRuns))
-        return 2;
-      ++I;
+      Ok = IntFlag(Opts.Quota.MaxRuns);
     } else if (Arg == "--quota-source-bytes") {
-      if (!parseU64Arg("--quota-source-bytes", Val,
-                       Opts.Quota.MaxSourceBytes))
-        return 2;
-      ++I;
+      Ok = IntFlag(Opts.Quota.MaxSourceBytes);
     } else if (Arg == "--quota-heap-bytes") {
-      if (!parseU64Arg("--quota-heap-bytes", Val, Opts.Quota.MaxHeapBytes))
-        return 2;
-      ++I;
+      Ok = IntFlag(Opts.Quota.MaxHeapBytes);
     } else if (Arg == "--quota-deadline-ms") {
-      if (!parseU64Arg("--quota-deadline-ms", Val,
-                       Opts.Quota.MaxRunDeadlineMs))
-        return 2;
-      ++I;
+      Ok = IntFlag(Opts.Quota.MaxRunDeadlineMs);
     } else if (Arg == "--quota-attempts") {
-      if (!parseU64Arg("--quota-attempts", Val, Opts.Quota.MaxAttempts))
-        return 2;
-      ++I;
+      Ok = IntFlag(Opts.Quota.MaxAttempts);
     } else if (Arg == "--compact-bytes") {
-      if (!parseU64Arg("--compact-bytes", Val, Opts.CompactBytes))
-        return 2;
-      ++I;
+      Ok = IntFlag(Opts.CompactBytes);
     } else if (Arg == "--compact-interval") {
-      if (!parseU64Arg("--compact-interval", Val, Opts.CompactIntervalMs))
-        return 2;
-      ++I;
+      Ok = IntFlag(Opts.CompactIntervalMs);
     } else if (Arg == "--retain-bytes") {
-      if (!parseU64Arg("--retain-bytes", Val, Opts.RetainBytes))
-        return 2;
-      ++I;
+      Ok = IntFlag(Opts.RetainBytes);
     } else if (Arg == "--retain-secs") {
-      if (!parseU64Arg("--retain-secs", Val, Opts.RetainSecs))
-        return 2;
-      ++I;
+      Ok = IntFlag(Opts.RetainSecs);
     } else if (Arg == "--drain-timeout-ms") {
-      if (!parseU64Arg("--drain-timeout-ms", Val, DrainTimeoutMs))
-        return 2;
-      ++I;
+      Ok = IntFlag(DrainTimeoutMs);
     } else {
       std::fprintf(stderr, "error: unknown or incomplete argument '%s'\n",
                    Arg.c_str());
       return usage(Argv[0]);
     }
+    if (!Ok)
+      return 2;
   }
   if (Opts.SocketPath.empty()) {
     std::fprintf(stderr, "error: --socket is required\n");
